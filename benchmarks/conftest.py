@@ -79,8 +79,8 @@ def run_once(benchmark, fn, *args, **kwargs):
 
     cache = _bench_cache()
     # the kernel rides in the key even though results are bit-identical
-    # across kernels: a REPRO_KERNEL=batched session must measure the
-    # batched kernel, not fetch tables the event kernel cached
+    # across kernels: a REPRO_KERNEL=cycle session must measure the
+    # reference kernel, not fetch tables the batched kernel cached
     cell = Cell.make(
         "bench",
         fn.__name__,

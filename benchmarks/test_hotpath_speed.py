@@ -1,27 +1,26 @@
-"""Hot-path speed: trace cache + columnar index + event scheduler.
+"""Hot-path speed: trace cache + columnar index + batched kernel.
 
-Four legs over figure 5's exact cell grid (the SPECint92 suite x
-stage counts x NEVER/ALWAYS/WAIT/PSYNC), asserted cycle-identical:
+Legs over figure 5's exact cell grid (the SPECint92 suite x stage
+counts x NEVER/ALWAYS/WAIT/PSYNC), asserted cycle-identical:
 
-* **legacy** — the pre-PR shape recreated in-tree: every workload is
-  re-interpreted with ``run_program``, every simulator rebuilds its
-  own static index, and the per-cycle scan scheduler drives issue.
+* **legacy** — the pre-hot-path shape recreated in-tree: every
+  workload is re-interpreted with ``run_program``, every simulator
+  rebuilds its own static index, and the per-cycle reference scan
+  (``kernel="cycle"``) drives issue.
 * **cold** — first run on a fresh machine: empty trace cache (memory
-  and disk), event scheduler, shared per-trace index.  Pays one
+  and disk), default kernel, shared per-trace index.  Pays one
   interpretation + serialization per workload.
 * **warm** — every later run: traces deserialized from the on-disk
-  cache, event scheduler, shared index.
-* **batched** — the warm configuration driven by the columnar
-  struct-of-arrays kernel (``repro.multiscalar.batched``) instead of
-  the object event kernel.  Its gate is relative and isolates the
-  kernels: an extra *hot* event pass runs first with traces (and the
-  shared index) already decoded in memory, then the batched pass over
-  the same hot state — so the ratio compares issue loops, not
-  deserialization.  The recorded ``batched_speedup`` is the honestly
-  measured factor on this grid (~1.7x at scale=test; the original 2x
-  target holds only for larger traces — compress at scale=large
-  measures 2.3x — because short runs amortize less of the per-cell
-  column setup).
+  cache, default kernel, shared index.
+* **kernel A/B** — the columnar batched kernel
+  (``repro.multiscalar.batched``, the default) against the per-cycle
+  reference scan, both over fully-hot state: traces and the shared
+  index are already decoded in memory, so the ratio compares issue
+  loops, not deserialization.  Three legs: the stateless grid above
+  (``batched_speedup``) and the paper's mechanism policies SYNC
+  (``sync_speedup``) and ESYNC (``esync_speedup``) on the same
+  workload x stage grid.  Each reference pass runs before its batched
+  pass.
 
 The in-tree legacy leg *understates* what the seed actually cost:
 the seed's scan also chased ``TraceEntry`` attribute chains and
@@ -35,10 +34,10 @@ pure-Python single-thread runs transfer across machines far better
 than absolute seconds do, which is what makes the frozen factor a
 sound reference.
 
-The floors (warm >= 3x seed, cold >= 1.5x seed) are this PR's
-acceptance bars; the committed baseline also turns them into a
-regression gate — a change may not lose more than ``tolerance``
-against the recorded speedups.
+The floors (warm >= 3x seed, cold >= 1.5x seed, every kernel leg >=
+1.3x the reference scan) are acceptance bars; the committed baseline
+also turns them into a regression gate — a change may not lose more
+than ``tolerance`` against the recorded speedups.
 """
 
 import json
@@ -58,16 +57,28 @@ STAGE_COUNTS = (4, 8)
 POLICIES = ("never", "always", "wait", "psync")
 SCALE = "test"
 
+#: Kernel A/B legs: leg name -> policies timed on the figure-5 grid.
+KERNEL_LEGS = (
+    ("batched", POLICIES),
+    ("sync", ("sync",)),
+    ("esync", ("esync",)),
+)
+
 BASELINE_PATH = Path(__file__).resolve().parent / "hotpath_baseline.json"
 
 
-def _simulate(trace, scheduler, share_index, kernel=""):
+def _simulate(trace, share_index, kernel=None, policies=POLICIES):
+    """Total cycles over the stage x policy grid; ``kernel=None`` runs
+    the default kernel."""
     total_cycles = 0
     for stages in STAGE_COUNTS:
-        for policy_name in POLICIES:
+        config_kwargs = {"stages": stages}
+        if kernel is not None:
+            config_kwargs["kernel"] = kernel
+        for policy_name in policies:
             sim = MultiscalarSimulator(
                 trace,
-                MultiscalarConfig(stages=stages, scheduler=scheduler, kernel=kernel),
+                MultiscalarConfig(**config_kwargs),
                 make_policy(policy_name),
                 share_index=share_index,
             )
@@ -80,27 +91,17 @@ def _leg_legacy():
     total = 0
     for name in WORKLOADS:
         trace = run_program(get_workload(name).program(scale=SCALE))
-        total += _simulate(trace, scheduler="cycle", share_index=False)
+        total += _simulate(trace, share_index=False, kernel="cycle")
     return total
 
 
-def _leg_cached(cache_root):
-    """Trace cache + shared columnar index + event scheduler."""
+def _leg_cached(cache_root, kernel=None, policies=POLICIES):
+    """Trace cache + shared columnar index on the given kernel."""
     cache = TraceCache(cache_root)
     total = 0
     for name in WORKLOADS:
         trace = cache.get_or_run(get_workload(name).program(scale=SCALE))
-        total += _simulate(trace, scheduler="event", share_index=True)
-    return total
-
-
-def _leg_batched(cache_root):
-    """The warm configuration under the columnar batched kernel."""
-    cache = TraceCache(cache_root)
-    total = 0
-    for name in WORKLOADS:
-        trace = cache.get_or_run(get_workload(name).program(scale=SCALE))
-        total += _simulate(trace, scheduler="event", share_index=True, kernel="batched")
+        total += _simulate(trace, share_index=True, kernel=kernel, policies=policies)
     return total
 
 
@@ -125,15 +126,15 @@ def test_hotpath_speedups(benchmark, bench_record, tmp_path):
         timings["warm"] = time.perf_counter() - start
 
         # kernel A/B over fully-hot state: the memory cache and shared
-        # index survive from the warm leg, so both passes below time
+        # index survive from the warm leg, so every pass below times
         # the issue loop alone, nothing else
-        start = time.perf_counter()
-        cycles["event_hot"] = _leg_cached(tmp_path / "traces")
-        timings["event_hot"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        cycles["batched"] = _leg_batched(tmp_path / "traces")
-        timings["batched"] = time.perf_counter() - start
+        for leg, policies in KERNEL_LEGS:
+            for kernel in ("cycle", "batched"):
+                start = time.perf_counter()
+                cycles[(leg, kernel)] = _leg_cached(
+                    tmp_path / "traces", kernel=kernel, policies=policies
+                )
+                timings[(leg, kernel)] = time.perf_counter() - start
         return timings
 
     try:
@@ -147,71 +148,69 @@ def test_hotpath_speedups(benchmark, bench_record, tmp_path):
         cycles["legacy"]
         == cycles["cold"]
         == cycles["warm"]
-        == cycles["event_hot"]
-        == cycles["batched"]
+        == cycles[("batched", "cycle")]
+        == cycles[("batched", "batched")]
     )
+    for leg, _ in KERNEL_LEGS:
+        assert cycles[(leg, "cycle")] == cycles[(leg, "batched")], leg
 
     baseline = json.loads(BASELINE_PATH.read_text())
     tolerance = baseline["tolerance"]
     seed_factor = baseline["seed_factor"]
 
     seed_equivalent = timings["legacy"] * seed_factor
-    warm_speedup = seed_equivalent / timings["warm"]
-    cold_speedup = seed_equivalent / timings["cold"]
-    batched_speedup = timings["event_hot"] / timings["batched"]
+    speedups = {
+        "warm": seed_equivalent / timings["warm"],
+        "cold": seed_equivalent / timings["cold"],
+    }
+    floors = {
+        "warm": max(3.0, baseline["warm_speedup"] / tolerance),
+        "cold": max(1.5, baseline["cold_speedup"] / tolerance),
+    }
+    for leg, _ in KERNEL_LEGS:
+        speedups[leg] = timings[(leg, "cycle")] / timings[(leg, "batched")]
+        floors[leg] = max(1.3, baseline["%s_speedup" % leg] / tolerance)
 
-    warm_floor = max(3.0, baseline["warm_speedup"] / tolerance)
-    cold_floor = max(1.5, baseline["cold_speedup"] / tolerance)
-    batched_floor = max(1.3, baseline["batched_speedup"] / tolerance)
-
+    hotpath = {
+        "legacy_seconds": round(timings["legacy"], 3),
+        "seed_equivalent_seconds": round(seed_equivalent, 3),
+        "cold_seconds": round(timings["cold"], 3),
+        "warm_seconds": round(timings["warm"], 3),
+        "total_cycles": cycles["legacy"],
+    }
+    for leg, _ in KERNEL_LEGS:
+        for kernel in ("cycle", "batched"):
+            hotpath["%s_%s_seconds" % (leg, kernel)] = round(timings[(leg, kernel)], 3)
+    for leg in speedups:
+        hotpath["%s_speedup" % leg] = round(speedups[leg], 2)
+        hotpath["%s_floor" % leg] = round(floors[leg], 2)
     bench_record(
-        timings["legacy"]
-        + timings["cold"]
-        + timings["warm"]
-        + timings["event_hot"]
-        + timings["batched"],
+        sum(timings.values()),
         cached=False,
-        hotpath={
-            "legacy_seconds": round(timings["legacy"], 3),
-            "seed_equivalent_seconds": round(seed_equivalent, 3),
-            "cold_seconds": round(timings["cold"], 3),
-            "warm_seconds": round(timings["warm"], 3),
-            "event_hot_seconds": round(timings["event_hot"], 3),
-            "batched_seconds": round(timings["batched"], 3),
-            "warm_speedup": round(warm_speedup, 2),
-            "cold_speedup": round(cold_speedup, 2),
-            "batched_speedup": round(batched_speedup, 2),
-            "warm_floor": round(warm_floor, 2),
-            "cold_floor": round(cold_floor, 2),
-            "batched_floor": round(batched_floor, 2),
-            "total_cycles": cycles["legacy"],
-        },
+        hotpath=hotpath,
     )
     print()
     print(
         "hot path: legacy %.2fs (seed-equivalent %.2fs), "
-        "cold %.2fs (%.2fx), warm %.2fs (%.2fx), "
-        "hot event %.2fs vs batched %.2fs (%.2fx)"
+        "cold %.2fs (%.2fx), warm %.2fs (%.2fx)"
         % (
             timings["legacy"],
             seed_equivalent,
             timings["cold"],
-            cold_speedup,
+            speedups["cold"],
             timings["warm"],
-            warm_speedup,
-            timings["event_hot"],
-            timings["batched"],
-            batched_speedup,
+            speedups["warm"],
         )
     )
+    for leg, _ in KERNEL_LEGS:
+        print(
+            "kernel A/B %s: hot cycle %.2fs vs batched %.2fs (%.2fx)"
+            % (leg, timings[(leg, "cycle")], timings[(leg, "batched")], speedups[leg])
+        )
 
-    assert warm_speedup >= warm_floor, (
-        "warm hot path regressed: %.2fx < %.2fx floor" % (warm_speedup, warm_floor)
-    )
-    assert cold_speedup >= cold_floor, (
-        "cold hot path regressed: %.2fx < %.2fx floor" % (cold_speedup, cold_floor)
-    )
-    assert batched_speedup >= batched_floor, (
-        "batched kernel regressed vs event: %.2fx < %.2fx floor"
-        % (batched_speedup, batched_floor)
-    )
+    for leg in speedups:
+        assert speedups[leg] >= floors[leg], "%s leg regressed: %.2fx < %.2fx floor" % (
+            leg,
+            speedups[leg],
+            floors[leg],
+        )

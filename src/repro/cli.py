@@ -70,6 +70,7 @@ from repro.multiscalar import (
     available_policies,
     make_policy,
 )
+from repro.multiscalar.config import kernel_error
 from repro.oracle import profile_dependences
 from repro.telemetry import Profiler, make_telemetry, merged_trace
 from repro.workloads import all_workloads, get_workload
@@ -117,12 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_kernel_flag(p):
         p.add_argument(
-            "--kernel", choices=KERNELS, default=None,
-            help="simulation kernel: 'cycle' (reference scan), 'event' "
-            "(event-driven scheduler), or 'batched' (columnar batched "
-            "kernel; falls back per cell when unsupported).  All three "
-            "produce bit-identical results.  Default: $REPRO_KERNEL, "
-            "else 'event'.  Exported to worker processes.",
+            "--kernel", metavar="{%s}" % ",".join(KERNELS), default=None,
+            help="simulation kernel: 'batched' (columnar, the default) or "
+            "'cycle' (per-cycle reference scan).  Both produce "
+            "bit-identical results.  Default: $REPRO_KERNEL, else "
+            "'batched'.  Exported to worker processes.",
         )
 
     p_sim = sub.add_parser("simulate", help="run one timing simulation")
@@ -1852,6 +1852,11 @@ def _adaptive_of(results) -> Optional[dict]:
 ADAPTIVE_SAVINGS_FLOOR = 0.60
 
 
+#: gated hot-path legs: seed-referenced warm/cold runs, then the batched
+#: kernel over the per-cycle reference scan (stateless grid, SYNC, ESYNC)
+HOTPATH_LEGS = ("warm", "cold", "batched", "sync", "esync")
+
+
 def cmd_bench_report(args) -> int:
     """Benchmark trajectory + >25% hot-path regression check."""
     history = _read_bench_history(args.history)
@@ -1884,7 +1889,7 @@ def cmd_bench_report(args) -> int:
     regressions = []
     drifts = []
     if hotpath is not None:
-        for leg in ("warm", "cold", "batched"):
+        for leg in HOTPATH_LEGS:
             measured = hotpath.get("%s_speedup" % leg)
             reference = baseline.get("%s_speedup" % leg)
             if measured is None or reference is None:
@@ -2007,7 +2012,8 @@ def cmd_bench_report(args) -> int:
     if hotpath is not None:
         print(
             "hot path: warm %sx (baseline %sx), cold %sx (baseline %sx), "
-            "batched kernel %sx (baseline %sx), tolerance %sx"
+            "batched kernel over the cycle scan %sx (baseline %sx), "
+            "SYNC %sx (baseline %sx), ESYNC %sx (baseline %sx), tolerance %sx"
             % (
                 hotpath.get("warm_speedup", "?"),
                 baseline.get("warm_speedup", "?"),
@@ -2015,6 +2021,10 @@ def cmd_bench_report(args) -> int:
                 baseline.get("cold_speedup", "?"),
                 hotpath.get("batched_speedup", "?"),
                 baseline.get("batched_speedup", "?"),
+                hotpath.get("sync_speedup", "?"),
+                baseline.get("sync_speedup", "?"),
+                hotpath.get("esync_speedup", "?"),
+                baseline.get("esync_speedup", "?"),
                 tolerance,
             )
         )
@@ -2066,6 +2076,11 @@ def main(argv=None) -> int:
     # the raw argv rides along for the run ledger (tests pass argv
     # explicitly, so sys.argv would be the test runner's)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
+    kernel = getattr(args, "kernel", None) or active_kernel()
+    error = kernel_error(kernel)
+    if error:
+        print("error: %s" % error, file=sys.stderr)
+        return 2
     if getattr(args, "kernel", None):
         # via the environment so MultiscalarConfig defaults pick it up
         # everywhere, including forked/spawned executor workers

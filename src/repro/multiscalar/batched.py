@@ -1,38 +1,34 @@
-"""The columnar batched simulation kernel.
+"""The columnar batched simulation kernel (the default kernel).
 
-A flattened, monomorphic port of the event-driven scheduler in
-:mod:`repro.multiscalar.processor`, specialised for the common grid
-shape (oracle register model, telemetry off).  The object kernel pays
-for its generality in CPython dispatch: the inner scan crosses several
-method boundaries per entry (``_try_issue`` → ``_intra_task_gate`` →
-``policy.may_issue_load`` → ``deny_hints`` → ``_park`` →
-``cache.access``), each re-hoisting its attribute loads.  This kernel
-advances many entries per step inside ONE loop body over shared
-struct-of-arrays columns (:class:`~repro.frontend.columns.TraceColumns`):
+An event-driven port of the per-cycle reference scan in
+:mod:`repro.multiscalar.processor`, for the oracle register model.  A
+denied entry is *parked* on the conditions under which its answer could
+change (the policy's :meth:`~repro.multiscalar.policies.SpeculationPolicy.deny_hints`
+plus the kernel's own operand, FU and intra-task gates), and a stage is
+rescanned only when one of its entries woke or a timed wake is due —
+the skipped scans are exactly the provably no-op ones.  The scan, park
+and wake machinery lives in ONE loop body over shared struct-of-arrays
+columns (:class:`~repro.frontend.columns.TraceColumns`), which keeps
+CPython attribute and call overhead out of the per-entry path:
 
 - stateless policy decisions (NEVER/ALWAYS/WAIT/PSYNC) are inlined as
-  vectorised-predicate dispatch on precomputed columns — no per-load
-  method calls at all;
+  predicates on precomputed columns — no per-load method calls at all;
 - trace-pure streams are precomputed once per decoded trace and shared
   across every (config, policy) cell: the cache bank/set/tag geometry
   and the sequencer's correct/mispredict stream (a pure function of the
   task-PC sequence);
 - stateful policies (the MDPT/MDST mechanism family, store sets, VSYNC)
-  keep their object callbacks — the *kernel* around them is still flat,
-  so their runs speed up too while every table update stays
+  keep their object callbacks, so every table update stays
   bit-identical.
 
-Bit-identity with the object kernel is the contract, not a goal: the
-port preserves statement order, the no-rollback semantics of
-``_park``, the shared hint list across store resolution and issue, the
-mid-scan squash behaviour of VSYNC (iteration continues over the
-pre-squash entry list), and the compaction arithmetic — all of it
-enforced by ``tests/multiscalar/test_kernel_differential.py``.
+Telemetry-on runs take the same kernel: one hoisted flag routes every
+load decision through the object interface, where the load-stall
+instrumentation lives, and adds the task spans at commit; violations
+and squashes report through the shared simulator methods.
 
-Runs the kernel cannot reproduce exactly fall back to the object path
-(see :func:`supports`): the speculative register models issue on stale
-values whose wake conditions the event plans do not track, and
-telemetry instrumentation points are deliberately not replicated here.
+Bit-identity with the per-cycle scan is the contract — stats, squash
+ledgers, and telemetry snapshots — enforced by
+``tests/multiscalar/test_kernel_differential.py``.
 """
 
 from __future__ import annotations
@@ -41,8 +37,8 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
 from repro.core.stats import SpeculationStats
+from repro.frontend.columns import pack_ints
 from repro.frontend.static_index import FU_ORDER, NUM_FU_CLASSES
-from repro.memsys.icache import InstructionCache
 from repro.multiscalar.policies import (
     WAKE_ADDR_MIN,
     WAKE_COMMIT,
@@ -55,8 +51,10 @@ from repro.multiscalar.policies import (
     PerfectSyncPolicy,
     WaitPolicy,
 )
-from repro.multiscalar.processor import _INF, SimulationError, _LazyMinSet
+from repro.multiscalar.processor import SimulationError
 from repro.multiscalar.sequencer import PathBasedTaskPredictor
+
+_INF = float("inf")
 
 #: Parked entries past the leading inert run absorb into the scan-prefix
 #: memo only when their timed wake is at least this far out (or purely
@@ -84,23 +82,6 @@ _KIND_OF = {
 }
 
 
-def supports(sim) -> bool:
-    """Can the batched kernel reproduce this run bit-identically?
-
-    Two features stay on the object path:
-
-    - non-oracle register models (``conservative``/``always``/
-      ``predict``): they issue on stale register values whose
-      availability the event wake plans do not track, so the object
-      kernel runs them under the cycle scheduler semantics;
-    - telemetry-instrumented runs: the kernel does not replicate the
-      per-load stall traces and counters (results are identical either
-      way — the telemetry A/B suite holds the object path to that — so
-      instrumented runs just take the instrumented kernel).
-    """
-    return sim.config.register_speculation == "oracle" and not sim._tel_on
-
-
 def _sequencer_stream(task_pcs, history):
     """Replay the path predictor over the static task-PC sequence.
 
@@ -120,10 +101,9 @@ def _sequencer_stream(task_pcs, history):
 def run_batched(sim) -> SpeculationStats:
     """Run ``sim`` to completion on the batched kernel.
 
-    Mirrors ``MultiscalarSimulator._run_object`` state-for-state: every
-    run attribute is created on ``sim`` (policies, the sanitizer, the
-    squash ledger, and the cold-path squash machinery all read them)
-    and aliased to locals; containers are shared by reference, so
+    The shared per-run state comes from ``sim._begin_run()`` (policies,
+    the sanitizer, the squash ledger, and the squash path all read it)
+    and is aliased to locals; containers are shared by reference, so
     mutations made by ``sim`` methods called from here stay visible.
     Only the scalars (``_head``, ``_next_dispatch``) need explicit
     syncing before any call that can read them.
@@ -132,47 +112,33 @@ def run_batched(sim) -> SpeculationStats:
     n = sim.n
     n_tasks = sim.n_tasks
     policy = sim.policy
-    kind = _KIND_OF.get(type(policy), _STATEFUL)
+    tel_on = sim._tel_on
+    kind = _STATEFUL if tel_on else _KIND_OF.get(type(policy), _STATEFUL)
     stateful = kind == _STATEFUL
 
     cols = sim._index.columns(sim.trace)
-
-    # ---- per-run state, exactly as the object run() creates it ----
-    done: List[Optional[int]] = [None] * n
-    sim.done = done
-    sim.issued = issued = [False] * n
-    issue_time: List[Optional[int]] = [None] * n
-    sim.issue_time = issue_time
-    sim._completed = completed = [False] * n
-    sim._epoch = epochs = [0] * n
-    sim._reg_spec_mode = cfg.register_speculation
-    sim._reg_learned = set()
-    events: List[tuple] = []
-    sim._events = events
-    pending_class: Dict[int, str] = {}
-    sim._pending_class = pending_class
-    sim._issue_floor = issue_floor = [0] * n_tasks
-
-    sim._unissued_stores = unissued_stores = _LazyMinSet(sim.all_store_seqs)
-    sim._unexecuted_stores = unexecuted_stores = _LazyMinSet(sim.all_store_seqs)
-    sim._unknown_addr_stores = unknown_addr = _LazyMinSet(sim.all_store_seqs)
-    sim._store_perform = store_perform = [0] * n
-
-    dispatch_time: List[Optional[int]] = [None] * n_tasks
-    sim._dispatch_time = dispatch_time
-    fetch_time: Dict[int, int] = {}
-    sim._fetch_time = fetch_time
-    sim._icaches = icaches = (
-        [InstructionCache() for _ in range(cfg.stages)] if cfg.model_icache else None
-    )
+    sim._begin_run()
+    done = sim.done
+    issued = sim.issued
+    issue_time = sim.issue_time
+    completed = sim._completed
+    epochs = sim._epoch
+    events = sim._events
+    pending_class = sim._pending_class
+    issue_floor = sim._issue_floor
+    unissued_stores = sim._unissued_stores
+    unexecuted_stores = sim._unexecuted_stores
+    unknown_addr = sim._unknown_addr_stores
+    store_perform = sim._store_perform
+    dispatch_time = sim._dispatch_time
+    fetch_time = sim._fetch_time
+    icaches = sim._icaches
     tasks = sim.tasks
-    sim._remaining = remaining = [len(seqs) for seqs in tasks]
-    task_unissued: Dict[int, List[int]] = {}
-    sim._task_unissued = task_unissued
-    sim._task_live = task_live = [0] * n_tasks
-    sim._head = 0
-    sim._next_dispatch = 0
-    sim._last_dispatch_time = -cfg.dispatch_latency
+    remaining = sim._remaining
+    task_unissued = sim._task_unissued
+    task_live = sim._task_live
+    fu_limits = sim._fu_limits
+    latencies = [cfg.fu_latencies[cls] for cls in FU_ORDER]
 
     # the sequencer stream is trace-pure: prefill the whole
     # correct/mispredict schedule instead of calling record() per
@@ -185,43 +151,64 @@ def run_batched(sim) -> SpeculationStats:
         ("sequencer", history),
         lambda: _sequencer_stream(task_pcs, history),
     )
-    pending_correct = [True] * (n_tasks + 1)
+    pending_correct = sim._pending_correct
     if n_tasks > 1:
         pending_correct[1:n_tasks] = stream
-    sim._pending_correct = pending_correct
-    sim.sequencer = sequencer = PathBasedTaskPredictor(history=history)
-    sim._load_first_attempt = {}
 
-    # the batched kernel IS the event-driven scheduling algorithm
-    # (bit-identical to the cycle scheduler by construction); sim-side
-    # wake helpers (note_load_wake) must see skip mode enabled
-    sim._skip_enabled = True
-    sim._task_dirty = dirty = [True] * n_tasks
+    # ---- event scheduling state ----
+    # A stage is rescanned only when dirty (one of its entries woke) or
+    # its timed wake (next_try) is due.  An entry whose denial produced
+    # a full wake plan is parked: skipped by later scans until one of
+    # its registrations fires (each carries (task id, entry seq)) or its
+    # timed wake arrives.
+    dirty = [True] * n_tasks
     next_try: List[float] = [0] * n_tasks
-    sim._task_next_try = next_try
-    wake_on_issue: Dict[int, List[tuple]] = {}
-    sim._wake_on_issue = wake_on_issue
-    resolve_watchers: Dict[int, List[tuple]] = {}
-    sim._resolve_watchers = resolve_watchers
-    addr_watchers: List[tuple] = []
-    sim._addr_watchers = addr_watchers
-    exec_watchers: List[tuple] = []
-    sim._exec_watchers = exec_watchers
-    commit_watchers: List[tuple] = []
-    sim._commit_watchers = commit_watchers
-    sim._entry_parked = parked = bytearray(n)
+    wake_on_issue: Dict[int, List[tuple]] = {}  # producer seq -> regs
+    resolve_watchers: Dict[int, List[tuple]] = {}  # store seq -> regs
+    addr_watchers: List[tuple] = []  # (threshold seq, task, seq) heap
+    exec_watchers: List[tuple] = []  # (threshold seq, task, seq) heap
+    commit_watchers: List[tuple] = []  # (task threshold, task, seq) heap
+    parked = bytearray(n)
     entry_wake: List[float] = [0.0] * n
-    sim._entry_wake = entry_wake
-    sim._scan_pos = scan_pos = [0] * n_tasks
-    sim._scan_considered = scan_considered = [0] * n_tasks
+    # scan-prefix memo, one per task: the leading run of its unissued
+    # list known to be skippable (dead slots and parked entries).
+    # ``pos`` list slots are skipped wholesale, entering the scan with
+    # ``considered`` already counted; unparking an entry at or below
+    # ``last`` (and any squash, compaction, or due wake) drops the memo.
+    scan_pos = [0] * n_tasks
+    scan_considered = [0] * n_tasks
     scan_wake: List[float] = [_INF] * n_tasks
-    sim._scan_wake = scan_wake
-    sim._scan_last = scan_last = [-1] * n_tasks
+    scan_last = [-1] * n_tasks
 
-    sim._fu_limits = fu_limits = [cfg.fu_counts[cls] for cls in FU_ORDER]
-    latencies = [cfg.fu_latencies[cls] for cls in FU_ORDER]
+    def drop_memo(t_id):
+        scan_pos[t_id] = 0
+        scan_considered[t_id] = 0
+        scan_wake[t_id] = _INF
+        scan_last[t_id] = -1
 
-    policy.bind(sim)
+    def wake_load(seq):
+        # a store signal releases a parked load next cycle (a wake the
+        # generic hints cannot express)
+        t_id = task_of[seq]
+        parked[seq] = 0
+        dirty[t_id] = True
+        if seq <= scan_last[t_id]:
+            drop_memo(t_id)
+
+    def after_squash(first_seq):
+        # squashed entries lose their parks (stale registrations must
+        # not gate re-issue), every rewound task its memo, and every
+        # in-flight stage is rescanned from scratch
+        for s in sim.squashed_seqs(first_seq):
+            parked[s] = 0
+        next_dispatch = sim._next_dispatch
+        for t_id in range(task_of[first_seq], next_dispatch):
+            drop_memo(t_id)
+        for t_id in range(sim._head, next_dispatch):
+            dirty[t_id] = True
+
+    sim._wake_hook = wake_load
+    sim._squash_hook = after_squash
 
     # ---- hoisted locals (the whole point of this kernel) ----
     stats = sim.stats
@@ -245,7 +232,7 @@ def run_batched(sim) -> SpeculationStats:
     src_p1, src_p2 = cols.derived("src_pair", _build_src_pair)
     far_horizon = _FAR_HORIZON
 
-    # more dict-of-the-object-kernel -> column conversions: the oracle
+    # more dict-of-the-index -> column conversions: the oracle
     # producer of each load (-1 = none), the earlier same-task stores
     # gating each load (None = none), and the static completion latency
     # of every non-memory entry (latency depends on the config, so the
@@ -271,10 +258,10 @@ def run_batched(sim) -> SpeculationStats:
 
     prior_stores_col = cols.derived("prior_stores_col", _build_prior_stores_col)
 
-    fu_code = cols.fu_code
+    c_fu = sim._c_fu
 
     def _build_static_lat():
-        return [latencies[fu_code[s]] for s in range(n)]
+        return pack_ints([latencies[fu] for fu in c_fu])
 
     static_lat = cols.derived(("static_lat", tuple(latencies)), _build_static_lat)
     dependents_get = sim.dependents.get
@@ -283,7 +270,6 @@ def run_batched(sim) -> SpeculationStats:
     c_is_load = sim._c_is_load
     c_is_store = sim._c_is_store
     c_is_memory = sim._c_is_memory
-    c_fu = sim._c_fu
 
     unknown_set = unknown_addr._set
     unknown_min = unknown_addr.minimum
@@ -318,6 +304,7 @@ def run_batched(sim) -> SpeculationStats:
     handle_violation = sim._handle_violation
     schedule_fetch = sim._schedule_fetch
     may_issue_load = policy.may_issue_load
+    observed_may_issue = sim._observed_may_issue
     deny_hints = policy.deny_hints
     on_store_issued = policy.on_store_issued
     on_task_dispatched = policy.on_task_dispatched
@@ -367,10 +354,7 @@ def run_batched(sim) -> SpeculationStats:
                 parked[s] = 0
                 dirty[t_id] = True
                 if s <= scan_last[t_id]:
-                    scan_pos[t_id] = 0
-                    scan_considered[t_id] = 0
-                    scan_wake[t_id] = _INF
-                    scan_last[t_id] = -1
+                    drop_memo(t_id)
 
         # ---- dispatch (_try_dispatch) -------------------------------
         while next_dispatch < n_tasks and next_dispatch - head < stages:
@@ -443,19 +427,19 @@ def run_batched(sim) -> SpeculationStats:
             new_pos = pfx_pos
             new_considered = considered
             new_wake = pfx_wake
-            # Two-tier prefix absorption.  The *leading* inert run (the
-            # object kernel's memo) absorbs any parked entry, timed or
-            # not — its wake folds into new_wake and resets the memo
-            # when due.  Past the first action point, scans keep
+            # Two-tier prefix absorption.  The *leading* inert run
+            # absorbs any parked entry, timed or not — its wake folds
+            # into new_wake and resets the memo when due.  Past the
+            # first action point, scans keep
             # absorbing (``growing``) but only entries that cannot
             # poison the memo's wake: dead entries and parks whose wake
             # is event-registered (nt == _INF) or at least _FAR_HORIZON
             # out.  Near timed parks there would make pfx_wake fire
             # nearly every cycle and throw the whole prefix away —
             # measurably worse than not absorbing at all.  Stateful
-            # runs stop growing at the first *action* point like the
-            # object kernel: a mid-scan squash (VSYNC) resets the memos
-            # of every task whose prefix could hide revived entries.
+            # runs stop growing at the first *action* point: a mid-scan
+            # squash (VSYNC) resets the memos of every task whose
+            # prefix could hide revived entries.
             growing = True
             leading = True
             far = now + far_horizon
@@ -526,29 +510,23 @@ def run_batched(sim) -> SpeculationStats:
                                 parked[s] = 0
                                 dirty[t_id] = True
                                 if s <= scan_last[t_id]:
-                                    scan_pos[t_id] = 0
-                                    scan_considered[t_id] = 0
-                                    scan_wake[t_id] = _INF
-                                    scan_last[t_id] = -1
+                                    drop_memo(t_id)
                         if seq in resolve_watchers:
                             for t_id, s in resolve_watchers_pop(seq):
                                 parked[s] = 0
                                 dirty[t_id] = True
                                 if s <= scan_last[t_id]:
-                                    scan_pos[t_id] = 0
-                                    scan_considered[t_id] = 0
-                                    scan_wake[t_id] = _INF
-                                    scan_last[t_id] = -1
+                                    drop_memo(t_id)
                         resolved = True
                 if considered > rs_window or issued_count >= issue_width:
                     if shared_hints:
                         del shared_hints[:]
                     break
-                # ---- _try_issue inline (event-plan path) ----
+                # ---- _try_issue inline, with wake plans ----
                 # Deny sites park *directly* when they can: each site
                 # has just verified its own wake condition, so the
-                # generic hint-list round trip (_park re-validating
-                # every registration) is pure overhead.  direct_nt is
+                # generic hint-list round trip (re-validating every
+                # registration) is pure overhead.  direct_nt is
                 # the park's timed wake (_INF for pure event wakes);
                 # the trailer finishes the park.  Sites that may run
                 # with hints already pending (a store whose address
@@ -692,7 +670,11 @@ def run_batched(sim) -> SpeculationStats:
                                     break
                         else:
                             sim._head = head
-                            if not may_issue_load(seq, now):
+                            if not (
+                                observed_may_issue(seq, task_id, now)
+                                if tel_on
+                                else may_issue_load(seq, now)
+                            ):
                                 hints = deny_hints(seq, now)
                                 if hints:
                                     shared_hints.extend(hints)
@@ -729,16 +711,13 @@ def run_batched(sim) -> SpeculationStats:
                     issued[seq] = True
                     issue_time[seq] = now
                     done[seq] = completion
-                    # ---- _fire_issue_wakes inline ----
+                    # ---- wake the entries parked on this issue ----
                     if seq in wake_on_issue:
                         for t_id, s in wake_on_issue_pop(seq):
                             parked[s] = 0
                             dirty[t_id] = True
                             if s <= scan_last[t_id]:
-                                scan_pos[t_id] = 0
-                                scan_considered[t_id] = 0
-                                scan_wake[t_id] = _INF
-                                scan_last[t_id] = -1
+                                drop_memo(t_id)
                     if c_is_store[seq]:
                         unissued_discard(seq)
                         unknown_discard(seq)
@@ -751,24 +730,18 @@ def run_batched(sim) -> SpeculationStats:
                                 parked[s] = 0
                                 dirty[t_id] = True
                                 if s <= scan_last[t_id]:
-                                    scan_pos[t_id] = 0
-                                    scan_considered[t_id] = 0
-                                    scan_wake[t_id] = _INF
-                                    scan_last[t_id] = -1
+                                    drop_memo(t_id)
                         if seq in resolve_watchers:
                             for t_id, s in resolve_watchers_pop(seq):
                                 parked[s] = 0
                                 dirty[t_id] = True
                                 if s <= scan_last[t_id]:
-                                    scan_pos[t_id] = 0
-                                    scan_considered[t_id] = 0
-                                    scan_wake[t_id] = _INF
-                                    scan_last[t_id] = -1
+                                    drop_memo(t_id)
                         store_perform[seq] = now + 1
                         if stateful:
                             # VSYNC may squash from in here; the scan
                             # then keeps iterating the pre-squash entry
-                            # list, exactly like the object kernel
+                            # list, exactly like the per-cycle scan
                             sim._head = head
                             on_store_issued(seq, now)
                     heappush(events, (completion, seq, epochs[seq]))
@@ -805,8 +778,8 @@ def run_batched(sim) -> SpeculationStats:
                         else:
                             growing = False
                 elif shared_hints:
-                    # ---- _park inline (no rollback on failure: earlier
-                    # registrations stay, exactly like the object path) ----
+                    # ---- park on the shared hints (no rollback on
+                    # failure: earlier registrations stay) ----
                     nt = _INF
                     park_ok = True
                     for kind_h, arg in shared_hints:
@@ -876,10 +849,7 @@ def run_batched(sim) -> SpeculationStats:
                 if len(unissued) - live_left >= 64 and live_left * 2 < len(unissued):
                     # mostly dead: compact so later scans stay short
                     task_unissued[task_id] = [s for s in unissued if not issued[s]]
-                    scan_pos[task_id] = 0
-                    scan_considered[task_id] = 0
-                    scan_wake[task_id] = _INF
-                    scan_last[task_id] = -1
+                    drop_memo(task_id)
             if issued_count or resolved or unparked:
                 next_try[task_id] = now + 1
             elif nt_plan < _INF:
@@ -901,6 +871,8 @@ def run_batched(sim) -> SpeculationStats:
             else:
                 stats.breakdown.nn += task_n_loads[task_id]
             stats.tasks_committed += 1
+            if tel_on:
+                sim._record_task_span(task_id, now)
             if stateful:
                 sim._head = head
                 sim._next_dispatch = next_dispatch
@@ -908,16 +880,13 @@ def run_batched(sim) -> SpeculationStats:
             head += 1
             sim._head = head
             progressed = True
-            if commit_watchers:  # _fire_commit_watchers inline
+            if commit_watchers:  # wake entries parked on this commit
                 while commit_watchers and commit_watchers[0][0] < head:
                     _, t_id, s = heappop(commit_watchers)
                     parked[s] = 0
                     dirty[t_id] = True
                     if s <= scan_last[t_id]:
-                        scan_pos[t_id] = 0
-                        scan_considered[t_id] = 0
-                        scan_wake[t_id] = _INF
-                        scan_last[t_id] = -1
+                        drop_memo(t_id)
 
         if head >= n_tasks:
             break
@@ -975,8 +944,6 @@ def run_batched(sim) -> SpeculationStats:
     cache.hits += cache_hits
     cache.misses += cache_misses
     cache.bank_conflict_cycles += cache_conflicts
-    sequencer.predictions = total_predictions
-    sequencer.mispredictions = total_mispredictions
-    stats.cycles = now
-    stats.control_mispredictions = total_mispredictions
-    return stats
+    sim.sequencer.predictions = total_predictions
+    sim.sequencer.mispredictions = total_mispredictions
+    return sim._finish_run(now)

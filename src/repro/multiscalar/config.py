@@ -17,32 +17,33 @@ from typing import Dict
 from repro.isa.opcodes import FUClass
 from repro.memsys.cache import CacheConfig
 
-#: Functional-unit latencies in cycles (paper Table 2; "SP/DP" single and
-#: double precision).  The memory latency listed here is address
-#: generation only — cache access time comes from the cache model.
-#: Registered simulation kernels, in increasing order of specialisation.
-#: ``cycle`` and ``event`` name the two issue-scan schedulers of the
-#: object kernel; ``batched`` selects the columnar struct-of-arrays
-#: kernel (repro.multiscalar.batched) which falls back to the object
-#: event path whenever a run needs features it does not support.
-KERNELS = ("cycle", "event", "batched")
+#: Registered simulation kernels.  ``batched`` (the default) is the
+#: columnar kernel of :mod:`repro.multiscalar.batched`; ``cycle`` is the
+#: per-cycle reference scan in :mod:`repro.multiscalar.processor`, which
+#: also runs every non-oracle register model whatever the kernel.
+KERNELS = ("batched", "cycle")
 
 
 def active_kernel() -> str:
-    """The kernel a default-constructed config would select right now.
-
-    Mirrors the ``MultiscalarConfig`` default chain: ``REPRO_KERNEL``
-    wins, then ``REPRO_SCHEDULER``, then the ``event`` default.  Used
-    by cache keys and ledger records that must name the kernel without
-    building a config.
-    """
-    return (
-        os.environ.get("REPRO_KERNEL", "")
-        or os.environ.get("REPRO_SCHEDULER", "")
-        or "event"
-    )
+    """The kernel a default-constructed config selects right now."""
+    return os.environ.get("REPRO_KERNEL") or "batched"
 
 
+def kernel_error(kernel) -> str:
+    """One-line diagnostic for an invalid kernel setting, or ``""``."""
+    if os.environ.get("REPRO_SCHEDULER"):
+        return (
+            "REPRO_SCHEDULER is no longer supported; choose a kernel with "
+            "REPRO_KERNEL (valid kernels: %s)" % ", ".join(KERNELS)
+        )
+    if kernel not in KERNELS:
+        return "unknown kernel %r (valid kernels: %s)" % (kernel, ", ".join(KERNELS))
+    return ""
+
+
+#: Functional-unit latencies in cycles (paper Table 2; "SP/DP" single and
+#: double precision).  The memory latency listed here is address
+#: generation only — cache access time comes from the cache model.
 FU_LATENCIES: Dict[FUClass, int] = {
     FUClass.SIMPLE_INT: 1,
     FUClass.COMPLEX_INT: 4,
@@ -117,29 +118,9 @@ class MultiscalarConfig:
     # (Section 5.2).  Off by default: fetch is then ideal at fetch_width
     # instructions per cycle.
     model_icache: bool = False
-    # Issue-scan scheduling strategy:
-    #   "event" - a stage is rescanned only when something that could
-    #             change its issue decisions happened (operand wake-ups,
-    #             store address/perform thresholds, commits, timed
-    #             stalls).  Bit-identical to "cycle" by construction —
-    #             scans that are skipped are exactly the provably
-    #             no-op ones — and verified by the A/B suite.
-    #   "cycle" - the legacy per-cycle rescan of every in-flight stage.
-    # The REPRO_SCHEDULER environment variable overrides the default.
-    scheduler: str = field(
-        default_factory=lambda: os.environ.get("REPRO_SCHEDULER", "event")
-    )
-    # Simulation kernel:
-    #   "cycle"/"event" - the object kernel under the matching scheduler
-    #                     (setting these also forces `scheduler`)
-    #   "batched"       - the columnar struct-of-arrays kernel
-    #                     (repro.multiscalar.batched); `scheduler` is left
-    #                     alone because it names the object fallback path
-    #                     used when the batched kernel cannot run a config
-    # Empty (the default) resolves to `scheduler`, so existing configs
-    # and the REPRO_SCHEDULER variable keep their meaning.  The
-    # REPRO_KERNEL environment variable overrides the default.
-    kernel: str = field(default_factory=lambda: os.environ.get("REPRO_KERNEL", ""))
+    # Simulation kernel (see KERNELS); the REPRO_KERNEL environment
+    # variable overrides the default.
+    kernel: str = field(default_factory=active_kernel)
 
     def __post_init__(self):
         if self.stages <= 0:
@@ -158,20 +139,9 @@ class MultiscalarConfig:
                 "register_speculation must be oracle/conservative/always/"
                 "predict, got %r" % (self.register_speculation,)
             )
-        if self.scheduler not in ("event", "cycle"):
-            raise ValueError(
-                "scheduler must be event or cycle, got %r" % (self.scheduler,)
-            )
-        if not self.kernel:
-            self.kernel = self.scheduler
-        elif self.kernel in ("event", "cycle"):
-            # the object kernels *are* the schedulers: keep both fields
-            # coherent so downstream code can branch on either
-            self.scheduler = self.kernel
-        elif self.kernel != "batched":
-            raise ValueError(
-                "kernel must be one of %s, got %r" % ("/".join(KERNELS), self.kernel)
-            )
+        error = kernel_error(self.kernel)
+        if error:
+            raise ValueError(error)
 
     def make_cache_config(self) -> CacheConfig:
         """Banked data cache: 2x banks per stage, 8 KB each (Section 5.2)."""

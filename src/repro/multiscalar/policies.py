@@ -35,7 +35,7 @@ from repro.telemetry import NULL_TELEMETRY
 
 
 # Wake-hint kinds returned by :meth:`SpeculationPolicy.deny_hints`.
-# The event-driven scheduler uses them to decide when a denied load's
+# The batched kernel uses them to decide when a denied load's
 # stage must be rescanned; each hint names one condition under which
 # the policy's answer could change.
 WAKE_TIME = 0      # rescan at the absolute cycle in ``arg``
@@ -58,10 +58,10 @@ class SpeculationPolicy:
     def may_issue_load(self, seq, now) -> bool:
         """May the operand-ready load *seq* access memory at *now*?
 
-        Under the legacy cycle scheduler this is consulted once per
-        cycle per ready load until it returns True.  The event-driven
-        scheduler instead consults it only on cycles where one of the
-        load's :meth:`deny_hints` conditions fired — the grant/deny
+        The per-cycle reference scan consults this once per cycle per
+        ready load until it returns True.  The batched kernel instead
+        consults it only on cycles where one of the load's
+        :meth:`deny_hints` conditions fired — the grant/deny
         *decisions* are identical, the number of consultations is not.
         """
         raise NotImplementedError
@@ -69,13 +69,13 @@ class SpeculationPolicy:
     def deny_hints(self, seq, now):
         """Why was load *seq* just denied, as wake conditions?
 
-        Called by the event-driven scheduler immediately after
+        Called by the batched kernel immediately after
         :meth:`may_issue_load` returned False.  Returns a list of
         ``(WAKE_*, arg)`` tuples that together cover every way the
         denial could lift; the load's stage is rescanned when any of
         them fires.  Returning None (the default, and the safe answer
         for any policy that does not model its own wake conditions)
-        makes the scheduler fall back to rescanning the stage every
+        makes the kernel fall back to rescanning the stage every
         cycle — always correct, merely slower.
         """
         return None
@@ -357,7 +357,7 @@ class MechanismPolicy(SpeculationPolicy):
         self._defer(seq, "reward_all", seq)
         self._wake_time[seq] = now + 1
         note = getattr(self.sim, "note_load_wake", None)
-        if note is not None:  # facade sims in tests lack the scheduler
+        if note is not None:  # facade sims in tests lack the kernel hook
             note(seq)
 
     def on_store_issued(self, seq, now):

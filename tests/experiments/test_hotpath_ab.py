@@ -1,13 +1,13 @@
 """A/B determinism of the hot-path optimizations.
 
-The tentpole (trace cache + columnar index + event scheduler) is only
+The hot path (trace cache + columnar index + batched kernel) is only
 admissible if it is invisible in the numbers.  These tests compare the
 optimized path against the unoptimized one end to end:
 
 * a trace that went through the binary cache round trip must simulate
   bit-identically to a freshly interpreted one, under every policy;
 * the figure-5 experiment table must be bit-identical between the
-  event-driven and the per-cycle scheduler.
+  batched kernel and the per-cycle reference scan.
 """
 
 import pytest
@@ -76,8 +76,8 @@ def test_figure5_table_identical_across_schedulers(monkeypatch):
     from repro.experiments.figures import figure5_policy_speedups
 
     tables = {}
-    for scheduler in ("event", "cycle"):
-        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+    for kernel in ("batched", "cycle"):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
         table = figure5_policy_speedups(scale="tiny", stage_counts=(4,))
-        tables[scheduler] = (table.columns, table.rows)
-    assert tables["event"] == tables["cycle"]
+        tables[kernel] = (table.columns, table.rows)
+    assert tables["batched"] == tables["cycle"]

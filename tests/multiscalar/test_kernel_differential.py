@@ -1,14 +1,15 @@
-"""Differential A/B harness: cycle vs event vs batched kernels.
+"""Differential A/B harness: the per-cycle reference scan vs batched.
 
-The batched columnar kernel (:mod:`repro.multiscalar.batched`) is a
-rewrite of the simulator's hottest code; this harness is its acceptance
-gate.  Every cell — randomized programs x all registered policies x
-{cycle, event, batched} — must produce *bit-identical*
+The batched columnar kernel (:mod:`repro.multiscalar.batched`) is the
+default and a rewrite of the simulator's hottest code; this harness is
+its acceptance gate.  Every cell — randomized programs x all registered
+policies x {cycle, batched} — must produce *bit-identical*
 ``SpeculationStats`` summaries AND bit-identical squash ledgers (every
 violation's structured cause, including the policy's predictor-state
 explanation, in order).  Checking the ledger catches a whole class of
 bugs the end-of-run stats can mask: two kernels can reach the same
-cycle count through differently-ordered violations.
+cycle count through differently-ordered violations.  Telemetry-on runs
+must also agree on the whole metrics snapshot and trace-event stream.
 
 ``REGRESSION_CASES`` pins (seed, config, policy) triples aimed at the
 trickiest port corners; any cell that ever diverges gets added there so
@@ -25,12 +26,14 @@ from repro.multiscalar.policies import (
     AlwaysPolicy,
     make_policy,
 )
+from repro.multiscalar.processor import MultiscalarSimulator as _Sim
+from repro.telemetry import make_telemetry
 from repro.workloads import get_workload
 from repro.workloads.random_gen import RandomProgramConfig, generate_trace
 
 ALL_POLICIES = tuple(POLICY_FACTORIES) + tuple(POLICY_ALIASES)
 
-KERNELS = ("cycle", "event", "batched")
+KERNELS = ("cycle", "batched")
 
 #: Dense cross-task dependences: a small shared region makes most loads
 #: hit a recent store from another task, stressing violations, squash,
@@ -45,7 +48,7 @@ REGRESSION_CASES = (
     # scan is iterating the pre-squash unissued list
     ("vsync-midscan", 7, dict(DENSE), dict(stages=4), "vsync"),
     # WAIT's commit-wake hint plus a park that fails with registrations
-    # already made (the no-rollback corner of _park)
+    # already made (the no-rollback corner of parking)
     ("wait-commit-wake", 11, dict(DENSE, tasks=40), dict(stages=8), "wait"),
     # compaction threshold: tasks long enough for the 64-entry dead
     # prefix compaction to trigger under a narrow window
@@ -122,39 +125,111 @@ def test_config_matrix(policy):
     ),
 )
 def test_micro_kernels(kernel):
-    """The PR-5 A/B micro kernels, now across all three kernels."""
+    """The micro-kernel A/B cells across both kernels."""
     trace = get_workload(kernel).trace(scale="tiny")
     for policy in ("never", "always", "wait", "psync", "sync", "esync", "storeset"):
         assert_kernels_identical(trace, policy, stages=4)
 
 
-def test_non_oracle_falls_back_to_object_path():
-    """The batched kernel refuses speculative register models and the
-    run lands on the object kernel — same results, no crash."""
-    from repro.multiscalar import batched
+MICRO_KERNELS = (
+    "micro-recurrence-d2",
+    "micro-pointer-chase",
+    "micro-multi-producer",
+    "micro-late-address",
+)
 
+
+def run_observed(trace, kernel, policy_name):
+    """One telemetry-on cell: (stats summary, metrics snapshot, trace events)."""
+    telemetry = make_telemetry()
+    sim = MultiscalarSimulator(
+        trace,
+        MultiscalarConfig(kernel=kernel, stages=4),
+        make_policy(policy_name),
+        telemetry=telemetry,
+    )
+    summary = sim.run().summary()
+    return summary, telemetry.metrics.to_dict(), telemetry.trace.events
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+@pytest.mark.parametrize("workload", MICRO_KERNELS)
+def test_telemetry_identical_across_kernels(workload, policy):
+    """Metrics (load denials and grants, wait-cycle histogram, squash
+    depth, MDPT/MDST counters) and every trace event — task spans, load
+    stall spans, violation and squash instants — match the reference."""
+    trace = get_workload(workload).trace(scale="tiny")
+    summary, metrics, events = run_observed(trace, "batched", policy)
+    ref_summary, ref_metrics, ref_events = run_observed(trace, "cycle", policy)
+    assert summary == ref_summary
+    assert metrics == ref_metrics
+    assert events == ref_events
+    assert any(e.get("cat") == "task" for e in events)
+
+
+def test_non_oracle_falls_back_to_object_path(monkeypatch):
+    """Speculative register models run the per-cycle scan under either
+    kernel setting — same results, no crash."""
     trace = _trace(9, **DENSE)
+    scans = []
+    original = _Sim._issue_phase
+
+    def counting(self, now, latencies):
+        scans.append(now)
+        return original(self, now, latencies)
+
+    monkeypatch.setattr(_Sim, "_issue_phase", counting)
     config = MultiscalarConfig(kernel="batched", register_speculation="predict")
-    sim = MultiscalarSimulator(trace, config, AlwaysPolicy())
-    assert not batched.supports(sim)
-    got = sim.run().summary()
+    got = MultiscalarSimulator(trace, config, AlwaysPolicy()).run().summary()
+    assert scans
 
     ref_config = MultiscalarConfig(kernel="cycle", register_speculation="predict")
     ref = MultiscalarSimulator(trace, ref_config, AlwaysPolicy()).run().summary()
     assert got == ref
 
 
-def test_telemetry_falls_back_to_object_path():
-    """Instrumented runs stay on the object kernel (which the telemetry
-    A/B suite already holds to bit-identical results)."""
-    from repro.multiscalar import batched
-    from repro.telemetry import make_telemetry
+def test_telemetry_runs_on_batched_kernel(monkeypatch):
+    """Turning telemetry on does not change the code under test: the
+    default kernel never enters the per-cycle scan."""
 
+    def refuse(self, now, latencies):
+        raise AssertionError("telemetry run fell back to the per-cycle scan")
+
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     trace = _trace(9, **DENSE)
-    config = MultiscalarConfig(kernel="batched")
-    sim = MultiscalarSimulator(trace, config, AlwaysPolicy(), telemetry=make_telemetry())
-    assert not batched.supports(sim)
-    got = sim.run().summary()
+    plain = MultiscalarSimulator(trace, MultiscalarConfig(kernel="cycle"), make_policy("sync"))
+    expected = plain.run().summary()
+    monkeypatch.setattr(_Sim, "_issue_phase", refuse)
+    telemetry = make_telemetry()
+    sim = MultiscalarSimulator(trace, MultiscalarConfig(), make_policy("sync"), telemetry=telemetry)
+    assert sim.config.kernel == "batched"
+    assert sim.run().summary() == expected
+    assert telemetry.metrics.to_dict()["counters"]
 
-    plain = MultiscalarSimulator(trace, MultiscalarConfig(kernel="cycle"), AlwaysPolicy())
-    assert got == plain.run().summary()
+
+def test_simulation_does_not_import_numpy():
+    """No simulation path pulls NumPy in (it costs every pool worker
+    ~14 MiB of resident memory)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    code = (
+        "import sys\n"
+        "from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator\n"
+        "from repro.multiscalar.policies import make_policy\n"
+        "from repro.workloads import get_workload\n"
+        "trace = get_workload('micro-recurrence-d2').trace(scale='tiny')\n"
+        "for kernel in ('batched', 'cycle'):\n"
+        "    MultiscalarSimulator(trace, MultiscalarConfig(kernel=kernel),"
+        " make_policy('esync')).run()\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr

@@ -283,14 +283,12 @@ def test_static_priming_closes_every_gated_pair():
 
 
 def test_sanitizer_counts_identical_across_schedulers():
-    by_scheduler = {}
-    for scheduler in ("event", "cycle"):
-        result = _leak_demo_result(
-            "always", config=MultiscalarConfig(scheduler=scheduler)
-        )
-        by_scheduler[scheduler] = [e.to_dict() for e in result.sanitizer.events]
-    assert by_scheduler["event"] == by_scheduler["cycle"]
-    assert by_scheduler["event"]  # the A/B is vacuous without events
+    by_kernel = {}
+    for kernel in ("batched", "cycle"):
+        result = _leak_demo_result("always", config=MultiscalarConfig(kernel=kernel))
+        by_kernel[kernel] = [e.to_dict() for e in result.sanitizer.events]
+    assert by_kernel["batched"] == by_kernel["cycle"]
+    assert by_kernel["batched"]  # the A/B is vacuous without events
 
 
 def test_sanitizer_publishes_telemetry_when_enabled():

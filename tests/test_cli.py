@@ -85,6 +85,40 @@ def test_policies_derived_from_registry():
         assert make_policy(name) is not None
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    (
+        (["--kernel", "bogus"], {}),
+        (["--kernel", "event"], {}),
+        ([], {"REPRO_KERNEL": "bogus"}),
+        ([], {"REPRO_KERNEL": "event"}),
+        ([], {"REPRO_SCHEDULER": "cycle"}),
+        (["--kernel", "cycle"], {"REPRO_SCHEDULER": "event"}),
+    ),
+)
+def test_bad_kernel_setting_exits_two(capsys, monkeypatch, argv, env):
+    # setenv first so teardown restores what main() may export
+    monkeypatch.setenv("REPRO_KERNEL", "batched")
+    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code = main(["simulate", "micro-pointer-chase", "--scale", "tiny"] + argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "valid kernels: batched, cycle" in lines[0]
+
+
+@pytest.mark.parametrize("kernel", ("batched", "cycle"))
+def test_kernel_flag_runs_either_kernel(capsys, monkeypatch, kernel):
+    monkeypatch.setenv("REPRO_KERNEL", "batched")  # restored after main() exports
+    argv = ["simulate", "micro-pointer-chase", "--scale", "tiny", "--json"]
+    assert main(argv + ["--kernel", kernel]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["cycles"] > 0
+
+
 def test_simulate_json_output(capsys):
     assert main(["simulate", "sc", "--scale", "tiny", "-n", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -726,13 +760,15 @@ def test_metrics_serve_missing_snapshot_exits_two(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-def _write_bench_data(tmp_path, warm=3.5, cold=3.5, adaptive=None):
+def _write_bench_data(tmp_path, warm=3.5, cold=3.5, adaptive=None, **kernel_legs):
     history = tmp_path / "BENCH_history.jsonl"
     results = tmp_path / "BENCH_results.json"
+    hotpath = {"warm_speedup": warm, "cold_speedup": cold}
+    hotpath.update(("%s_speedup" % leg, value) for leg, value in kernel_legs.items())
     record = {
         "test": "benchmarks/test_hotpath_speed.py::test_hotpath_speedups",
         "seconds": 9.0,
-        "hotpath": {"warm_speedup": warm, "cold_speedup": cold},
+        "hotpath": hotpath,
     }
     records = [record]
     if adaptive is not None:
@@ -786,6 +822,20 @@ def test_bench_report_prints_drift_per_leg(capsys, tmp_path):
     # 3.6 vs pinned 3.47 -> +3.7%
     assert "drift: warm +3.7%" in out
     assert "drift: cold" in out
+
+
+@pytest.mark.parametrize("leg", ("batched", "sync", "esync"))
+def test_bench_report_gates_kernel_legs(capsys, tmp_path, leg):
+    # every kernel A/B leg is pinned; 1.0x (no gain over the cycle scan)
+    # is below any pinned ratio / tolerance
+    history, results = _write_bench_data(tmp_path, **{leg: 1.0})
+    assert main(["bench-report", "--history", history,
+                 "--results", results, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["leg"] for r in payload["regressions"]] == [leg]
+    assert main(["bench-report", "--history", history,
+                 "--results", results]) == 1
+    assert "drift: %s" % leg in capsys.readouterr().out
 
 
 def test_bench_report_adaptive_clean(capsys, tmp_path):
