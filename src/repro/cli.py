@@ -29,7 +29,7 @@ Usage (also available as ``python -m repro``)::
     repro runs                               # list recorded runs
     repro runs diff a1b2c3 d4e5f6            # what changed between two?
     repro explain compress                   # why did we squash?
-    repro metrics-serve m.json --port 9464   # Prometheus /metrics
+    repro metrics-export m.json              # Prometheus text format
     repro bench-report                       # bench trajectory + regressions
 
 Most subcommands accept ``--json`` (machine-readable stdout); the
@@ -144,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_executor_flags(p):
         p.add_argument(
             "--jobs", type=int, default=None, metavar="N",
-            help="fan cells out to N worker processes (default: "
+            help="run cells through the executor: 1 inline in this "
+            "process, N > 1 on a pool of N worker processes (default: "
             "$REPRO_EXECUTOR_JOBS, else the legacy serial in-process path)",
         )
         p.add_argument(
@@ -179,32 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--progress-json", metavar="FILE", dest="progress_json",
             help="append every progress event as one JSON line to FILE "
             "(the machine-readable sibling of --watch)",
-        )
-        p.add_argument(
-            "--batch", action="store_true",
-            help="group cells that share one decoded trace onto one "
-            "worker (each trace decoded exactly once per pool); pure "
-            "scheduling — results and cache keys are unchanged",
-        )
-        p.add_argument(
-            "--backend", choices=("local", "inline", "queue-dir"), default=None,
-            help="where cells run: 'local' process pool, 'inline' in "
-            "this process, or 'queue-dir' work-stealing over a shared "
-            "directory (see 'repro worker').  Default: $REPRO_EXECUTOR_BACKEND, "
-            "else local pool for --jobs > 1 and inline otherwise.  All "
-            "backends produce bit-identical results",
-        )
-        p.add_argument(
-            "--queue-dir", dest="queue_dir", metavar="DIR",
-            default=os.environ.get("REPRO_QUEUE_DIR") or None,
-            help="shared queue directory for --backend queue-dir "
-            "(created if missing; default: $REPRO_QUEUE_DIR)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="queue-dir only: spawn N local 'repro worker' "
-            "processes (default: --jobs).  0 spawns none — the sweep "
-            "is served entirely by externally launched workers",
         )
 
     p_exp = sub.add_parser(
@@ -257,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "config runs at scale/eta^(rungs-1), the top 1/eta per workload "
         "promote one rung up, and only finalists run at --scale.  "
         "Deterministic: rankings tie-break on the full-scale cell key, "
-        "so serial, parallel, and queue-dir runs are bit-identical",
+        "so --jobs 1 and --jobs N runs are bit-identical",
     )
     p_sweep.add_argument(
         "--eta", type=int, default=3, metavar="N",
@@ -275,48 +250,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="adaptive rung count (default: enough that at most eta "
         "configs reach full scale)",
     )
+    p_sweep.add_argument(
+        "--batch", action="store_true",
+        help="group cells that share one decoded trace onto one "
+        "worker (each trace decoded exactly once per pool); pure "
+        "scheduling — results and cache keys are unchanged",
+    )
     add_kernel_flag(p_sweep)
     add_executor_flags(p_sweep)
     add_telemetry_flags(p_sweep)
     add_ledger_flag(p_sweep)
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="work-stealing executor worker over a shared queue directory",
-        description="Claim and execute cell shards from a queue "
-        "directory written by 'repro sweep/experiment --backend "
-        "queue-dir' (any number of workers, same host or shared "
-        "storage).  Tasks are claimed with atomic lease files, a "
-        "heartbeat thread keeps the lease fresh, and results stream "
-        "back as JSONL the driver tails.  Exit codes: 0 drained/stopped, "
-        "2 usage error.",
-    )
-    p_worker.add_argument("queue_dir", help="the shared queue directory")
-    p_worker.add_argument(
-        "--max-tasks", type=int, default=None, metavar="N", dest="max_tasks",
-        help="exit after executing N tasks (default: until stopped)",
-    )
-    p_worker.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        dest="idle_timeout",
-        help="exit after SECONDS with nothing claimable (default: wait "
-        "for the stop sentinel forever)",
-    )
-    p_worker.add_argument(
-        "--heartbeat", type=float, default=1.0, metavar="SECONDS",
-        help="lease heartbeat interval (default 1.0); drivers reclaim "
-        "leases quiet for longer than their --lease-timeout",
-    )
-    p_worker.add_argument(
-        "--poll", type=float, default=0.05, metavar="SECONDS",
-        help="poll interval while idle (default 0.05)",
-    )
-    p_worker.add_argument(
-        "--worker-id", default=None, dest="worker_id", metavar="ID",
-        help="stable worker name for the result stream and lease "
-        "records (default: pid + random suffix)",
-    )
-    add_kernel_flag(p_worker)
 
     p_prof = sub.add_parser(
         "profile", help="profile one workload end to end (wall clock)"
@@ -506,27 +449,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument("--json", action="store_true", dest="as_json")
 
-    p_serve = sub.add_parser(
-        "metrics-serve",
-        help="serve a metrics snapshot in Prometheus text format",
-        description="Expose a --metrics JSON snapshot on a Prometheus "
-        "text-format endpoint (stdlib HTTP server; the snapshot file is "
-        "re-read on every request, so a running simulation can refresh "
-        "it in place). Exit codes: 0 served/printed, 2 usage error "
-        "(missing or invalid snapshot).",
+    p_export = sub.add_parser(
+        "metrics-export",
+        help="print a metrics snapshot in Prometheus text format",
+        description="Render a --metrics JSON snapshot in the Prometheus "
+        "text exposition format on stdout (for a textfile collector or "
+        "a pushgateway). Exit codes: 0 printed, 2 usage error (missing "
+        "or invalid snapshot).",
     )
-    p_serve.add_argument("snapshot", help="metrics JSON written by --metrics")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=9464)
-    p_serve.add_argument(
-        "--once", action="store_true",
-        help="print the Prometheus text to stdout and exit (no server)",
-    )
-    p_serve.add_argument(
-        "--max-requests", type=int, default=None, metavar="N",
-        dest="max_requests",
-        help="serve N requests then exit (default: serve forever)",
-    )
+    p_export.add_argument("snapshot", help="metrics JSON written by --metrics")
 
     p_bench = sub.add_parser(
         "bench-report",
@@ -769,48 +700,7 @@ def _check_executor_usage(args) -> Optional[int]:
     if args.resume and not args.cache_dir:
         print("error: --resume requires --cache-dir", file=sys.stderr)
         return 2
-    backend = _resolved_backend_name(args)
-    if backend not in (None, "local", "inline", "queue-dir"):
-        print("error: unknown backend %r" % backend, file=sys.stderr)
-        return 2
-    if backend == "queue-dir" and not getattr(args, "queue_dir", None):
-        print("error: --backend queue-dir requires --queue-dir", file=sys.stderr)
-        return 2
-    if backend != "queue-dir":
-        if getattr(args, "queue_dir", None):
-            print("error: --queue-dir requires --backend queue-dir", file=sys.stderr)
-            return 2
-        if getattr(args, "workers", None) is not None:
-            print("error: --workers requires --backend queue-dir", file=sys.stderr)
-            return 2
     return None
-
-
-def _resolved_backend_name(args) -> Optional[str]:
-    """--backend, else $REPRO_EXECUTOR_BACKEND, else None (legacy pick)."""
-    name = getattr(args, "backend", None)
-    if name:
-        return name
-    env = os.environ.get("REPRO_EXECUTOR_BACKEND", "").strip()
-    return env or None
-
-
-def _make_backend(args, jobs):
-    """Build the ExecutorBackend instance the flags describe (or None
-    for the legacy jobs-based inline/pool pick)."""
-    name = _resolved_backend_name(args)
-    if name is None:
-        return None
-    if name == "queue-dir":
-        from repro.experiments.backends import QueueDirBackend
-
-        return QueueDirBackend(
-            args.queue_dir,
-            workers=args.workers if args.workers is not None else (jobs or 1),
-        )
-    from repro.experiments.backends import make_backend
-
-    return make_backend(name)
 
 
 def _executor_telemetry(args):
@@ -1083,7 +973,6 @@ def cmd_sweep(args) -> int:
     start = time.time()
     metrics, trace = _executor_telemetry(args)
     jobs = _resolved_jobs(args)
-    backend = _make_backend(args, jobs)
     progress, progress_writer = _progress_sinks(args)
     adaptive = None
     try:
@@ -1107,7 +996,6 @@ def cmd_sweep(args) -> int:
                 trace=trace,
                 progress=progress,
                 batch=args.batch,
-                backend=backend,
             )
             result = adaptive.result
         else:
@@ -1125,7 +1013,6 @@ def cmd_sweep(args) -> int:
                 trace=trace,
                 progress=progress,
                 batch=args.batch,
-                backend=backend,
             )
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -1182,32 +1069,6 @@ def cmd_sweep(args) -> int:
         for label, error in result.failed:
             print("FAILED cell %s: %s" % (label, error), file=sys.stderr)
         return 2
-    return 0
-
-
-def cmd_worker(args) -> int:
-    from repro.experiments.queuedir import run_worker
-
-    if args.max_tasks is not None and args.max_tasks < 0:
-        print("error: --max-tasks must be >= 0", file=sys.stderr)
-        return 2
-    try:
-        stats = run_worker(
-            args.queue_dir,
-            worker_id=args.worker_id,
-            max_tasks=args.max_tasks,
-            idle_timeout=args.idle_timeout,
-            poll_interval=max(0.001, args.poll),
-            heartbeat_interval=max(0.01, args.heartbeat),
-        )
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    print(
-        "worker %s: %d task(s), %d cell(s), %d failed"
-        % (stats["worker"], stats["tasks"], stats["cells"], stats["failed"]),
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -1776,39 +1637,22 @@ def cmd_explain(args) -> int:
     return 1 if report.contradictions else 0
 
 
-def cmd_metrics_serve(args) -> int:
-    """Serve a --metrics snapshot in Prometheus text format."""
-    from repro.telemetry.prometheus import MetricsServer, to_prometheus
-
-    def render() -> str:
-        with open(args.snapshot) as fh:
-            return to_prometheus(json.load(fh))
+def cmd_metrics_export(args) -> int:
+    """Print a --metrics snapshot in Prometheus text format."""
+    from repro.telemetry.prometheus import to_prometheus
 
     try:
-        text = render()
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        with open(args.snapshot) as fh:
+            snapshot = json.load(fh)
+        if not isinstance(snapshot, dict):
+            raise ValueError("expected a JSON object, got %s" % type(snapshot).__name__)
+        text = to_prometheus(snapshot)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(
             "error: cannot render %s: %s" % (args.snapshot, exc), file=sys.stderr
         )
         return 2
-    if args.once:
-        sys.stdout.write(text)
-        return 0
-    server = MetricsServer(render, host=args.host, port=args.port)
-    print(
-        "serving %s at http://%s:%d/metrics (Ctrl-C to stop)"
-        % (args.snapshot, args.host, server.port),
-        file=sys.stderr,
-    )
-    try:
-        if args.max_requests is not None:
-            server.handle_requests(args.max_requests)
-        else:
-            server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    sys.stdout.write(text)
     return 0
 
 
@@ -2092,7 +1936,6 @@ def main(argv=None) -> int:
         "compare": cmd_compare,
         "experiment": cmd_experiment,
         "sweep": cmd_sweep,
-        "worker": cmd_worker,
         "profile": cmd_profile,
         "staticdep": cmd_staticdep,
         "lint": cmd_lint,
@@ -2101,7 +1944,7 @@ def main(argv=None) -> int:
         "leakcheck": cmd_leakcheck,
         "runs": cmd_runs,
         "explain": cmd_explain,
-        "metrics-serve": cmd_metrics_serve,
+        "metrics-export": cmd_metrics_export,
         "bench-report": cmd_bench_report,
     }[args.command]
     try:

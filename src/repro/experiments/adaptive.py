@@ -22,9 +22,9 @@ Determinism: rankings sort by ``(direction * value, full_scale_key)``
 where ``full_scale_key`` is the content-addressed cache key the
 configuration would have *at the final scale* — a scale-independent
 identity.  Ties therefore break identically at every rung, across
-serial, process-pool, and queue-dir execution, and against an
-exhaustive sweep: same grid + same sources ⇒ bit-identical rung
-membership and final table, regardless of backend or worker count.
+inline and process-pool execution, and against an exhaustive sweep:
+same grid + same sources ⇒ bit-identical rung membership and final
+table, regardless of worker count.
 
 Cost accounting is in **full-scale cell units**: a cell simulated at
 ``1/9`` of the final scale costs ``1/9`` of a unit.  The exhaustive
@@ -35,7 +35,6 @@ measured, not asserted.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -171,13 +170,12 @@ def adaptive_sweep(
     trace=None,
     progress=None,
     batch: bool = False,
-    backend=None,
 ) -> AdaptiveResult:
     """Successive halving over the (config × workload) grid.
 
     Accepts the same grid and executor arguments as
     :func:`~repro.experiments.sweeps.sweep` plus the halving knobs;
-    always routes cells through the executor (any backend), so caching,
+    always routes cells through the executor, so caching,
     retries, fault tolerance, and the determinism contract apply
     per rung.  See the module docstring for the algorithm and its
     determinism guarantees.
@@ -226,88 +224,79 @@ def adaptive_sweep(
     report = None
     cellmeta: List[Tuple[str, int]] = []
 
-    # keep backend workers (spawned and external) alive across rungs;
-    # the stop sentinel is written once, after the final rung
-    session = (
-        backend.hold_open()
-        if hasattr(backend, "hold_open")
-        else contextlib.nullcontext()
-    )
-    with session:
-        for rung_index in range(total_rungs):
-            shrink = eta ** (total_rungs - 1 - rung_index)
-            final_rung = shrink == 1
-            # the final rung runs at the requested scale *verbatim* so
-            # its cells are cache-compatible with an exhaustive sweep
-            rung_scale = scale if final_rung else final_multiplier / shrink
-            cells = []
-            cellmeta = []
-            for workload in workloads:
-                for index in survivors[workload]:
-                    cells.append(config_cell(workload, index, rung_scale))
-                    cellmeta.append((workload, index))
-            executor = Executor(
-                jobs=jobs or 1,
-                cache=cache_dir,
-                timeout=timeout,
-                retries=retries,
-                run_cell=run_cell,
-                metrics=metrics,
-                trace=trace,
-                progress=progress,
-                batch=batch,
-                backend=backend,
+    for rung_index in range(total_rungs):
+        shrink = eta ** (total_rungs - 1 - rung_index)
+        final_rung = shrink == 1
+        # the final rung runs at the requested scale *verbatim* so
+        # its cells are cache-compatible with an exhaustive sweep
+        rung_scale = scale if final_rung else final_multiplier / shrink
+        cells = []
+        cellmeta = []
+        for workload in workloads:
+            for index in survivors[workload]:
+                cells.append(config_cell(workload, index, rung_scale))
+                cellmeta.append((workload, index))
+        executor = Executor(
+            jobs=jobs or 1,
+            cache=cache_dir,
+            timeout=timeout,
+            retries=retries,
+            run_cell=run_cell,
+            metrics=metrics,
+            trace=trace,
+            progress=progress,
+            batch=batch,
+        )
+        report = executor.run(cells)
+        units = len(cells) / shrink
+        adaptive_units += units
+
+        values: Dict[Tuple[str, int], Optional[float]] = {}
+        for meta, cell_result in zip(cellmeta, report.results):
+            if cell_result.ok:
+                values[meta] = float(cell_result.payload[metric])
+            else:
+                values[meta] = None
+
+        kept_total = 0
+        for workload in workloads:
+            ranked = sorted(
+                survivors[workload],
+                key=lambda i: (
+                    values[(workload, i)] is None,  # failures rank last
+                    direction * (values[(workload, i)] or 0.0),
+                    final_keys[(workload, i)],
+                ),
             )
-            report = executor.run(cells)
-            units = len(cells) / shrink
-            adaptive_units += units
+            if not final_rung:
+                keep = max(1, math.ceil(len(ranked) / eta))
+                ranked = ranked[:keep]
+            survivors[workload] = ranked
+            kept_total += len(ranked)
 
-            values: Dict[Tuple[str, int], Optional[float]] = {}
-            for meta, cell_result in zip(cellmeta, report.results):
-                if cell_result.ok:
-                    values[meta] = float(cell_result.payload[metric])
-                else:
-                    values[meta] = None
-
-            kept_total = 0
+        record = {
+            "rung": rung_index + 1,
+            "rungs": total_rungs,
+            "scale": scale if final_rung else round(rung_scale, 9),
+            "multiplier": round(1.0 / shrink, 9),
+            "cells": len(cells),
+            "cached": len(report.cached),
+            "failed": len(report.failed),
+            "kept": kept_total,
+            "units": round(units, 6),
+        }
+        rung_records.append(record)
+        if metrics is not None:
+            metrics.counter("adaptive.rungs").inc()
+            metrics.counter("adaptive.cells").inc(len(cells))
+            metrics.counter("adaptive.rung%d.cells" % (rung_index + 1)).inc(len(cells))
+        if progress is not None:
+            best = []
             for workload in workloads:
-                ranked = sorted(
-                    survivors[workload],
-                    key=lambda i: (
-                        values[(workload, i)] is None,  # failures rank last
-                        direction * (values[(workload, i)] or 0.0),
-                        final_keys[(workload, i)],
-                    ),
-                )
-                if not final_rung:
-                    keep = max(1, math.ceil(len(ranked) / eta))
-                    ranked = ranked[:keep]
-                survivors[workload] = ranked
-                kept_total += len(ranked)
-
-            record = {
-                "rung": rung_index + 1,
-                "rungs": total_rungs,
-                "scale": scale if final_rung else round(rung_scale, 9),
-                "multiplier": round(1.0 / shrink, 9),
-                "cells": len(cells),
-                "cached": len(report.cached),
-                "failed": len(report.failed),
-                "kept": kept_total,
-                "units": round(units, 6),
-            }
-            rung_records.append(record)
-            if metrics is not None:
-                metrics.counter("adaptive.rungs").inc()
-                metrics.counter("adaptive.cells").inc(len(cells))
-                metrics.counter("adaptive.rung%d.cells" % (rung_index + 1)).inc(len(cells))
-            if progress is not None:
-                best = []
-                for workload in workloads:
-                    top = survivors[workload][0]
-                    value = values[(workload, top)]
-                    best.append([workload, configs[top]["policy"], value])
-                progress(dict(record, event="rung", best=best))
+                top = survivors[workload][0]
+                value = values[(workload, top)]
+                best.append([workload, configs[top]["policy"], value])
+            progress(dict(record, event="rung", best=best))
 
     # final table: the last rung's points, in its deterministic ranked
     # cell order; failures there degrade to result.failed as usual

@@ -1,475 +1,133 @@
-"""Pluggable execution backends for the experiment executor.
+"""The executor's two execution loops.
 
 The :class:`~repro.experiments.executor.Executor` owns everything that
-must not vary across backends — cache scan, content-addressed keys,
-retry budget, result validation, progress events, telemetry — and
-delegates only the question of *where cells physically run* to an
-:class:`ExecutorBackend`:
+does not depend on where cells run — cache scan, content-addressed
+keys, retry budget, result validation, progress events, telemetry —
+and picks one of two loops by ``jobs`` alone:
 
-* :class:`InlineBackend` — in this process, one cell at a time.  The
-  test backend, and what ``--jobs 1`` uses.
-* :class:`LocalPoolBackend` — the ``ProcessPoolExecutor`` fan-out with
-  solo retries and crash containment (the historical default for
-  ``--jobs N``).
-* :class:`QueueDirBackend` — work-stealing over a shared queue
-  directory (:mod:`repro.experiments.queuedir`): the driver publishes
-  cell shards as task files, any number of ``repro worker`` processes
-  claim them with ``O_CREAT|O_EXCL`` lease files, and the driver tails
-  their JSONL result streams, reclaiming leases whose heartbeat stops.
+* :func:`run_inline` — ``jobs == 1``: in this process, one cell at a
+  time, in plan order.
+* :func:`run_pool` — ``jobs > 1``: a fork ``ProcessPoolExecutor``
+  fan-out with batch groups, solo retries and crash containment.
 
-Every backend reports outcomes through ``executor._deliver``, so the
-determinism contract (serial ≡ parallel ≡ distributed, bit-identical
-payloads) holds by construction: backends schedule, they never touch
-payloads.
+Both report outcomes through ``executor._deliver``, so the determinism
+contract (inline ≡ pool, bit-identical payloads) holds by
+construction: the loops schedule, they never touch payloads.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import subprocess
-import sys
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.executor import (
     OK,
-    CellError,
     _batch_worker,
     _pool_context,
     _validated,
     _worker,
-    default_run_cell,
-)
-from repro.experiments.queuedir import (
-    STOP_SENTINEL,
-    QueueDir,
-    run_cell_path,
-    run_worker,
 )
 
 
-class ExecutorBackend:
-    """Strategy for physically executing planned cell groups.
-
-    ``execute`` receives the owning executor (for run_cell/timeout/
-    retry policy and the ``_deliver`` result channel), the execution
-    plan (groups of pending indices), and the cells with their cache
-    keys.  It returns the number of retries it performed.
-    """
-
-    #: short name used by ``--backend`` and reports
-    name = "base"
-    #: whether the backend runs cells outside this process (the
-    #: executor prewarms shared caches in the parent first if so)
-    forks = True
-
-    def execute(self, executor, plan, cells, keys) -> int:
-        raise NotImplementedError
-
-
-class InlineBackend(ExecutorBackend):
-    """Run every cell in this process, in plan order."""
-
-    name = "inline"
-    forks = False
-
-    def execute(self, executor, plan, cells, keys) -> int:
-        # batch grouping only reorders execution (group members run
-        # back-to-back over the per-process trace memo); per-cell
-        # seeding keeps payloads identical in any order
-        retried = 0
-        for group in plan:
-            for index in group:
-                attempts = 0
-                while True:
-                    attempts += 1
-                    outcome = _validated(
-                        _worker(
-                            executor.run_cell,
-                            cells[index].spec(),
-                            keys[index],
-                            executor.timeout,
-                        )
-                    )
-                    if outcome["status"] == OK or not executor._attempts_left(attempts):
-                        break
-                    retried += 1
-                if outcome["status"] != OK and len(group) > 1:
-                    executor._note_group_failure(index)
-                executor._deliver(index, outcome, attempts)
-        return retried
-
-
-class LocalPoolBackend(ExecutorBackend):
-    """Fan groups out to a local ``ProcessPoolExecutor``."""
-
-    name = "local"
-    forks = True
-
-    def execute(self, executor, plan, cells, keys) -> int:
-        retried = 0
-        with ProcessPoolExecutor(
-            max_workers=min(executor.jobs, len(plan)), mp_context=_pool_context()
-        ) as pool:
-            inflight: Dict[object, Tuple[List[int], int]] = {}
-
-            def submit(indices, attempts):
-                if len(indices) == 1:
-                    future = pool.submit(
-                        _worker,
+def run_inline(executor, plan, cells, keys) -> int:
+    """Run every cell in this process, in plan order; return the
+    number of retries performed."""
+    # batch grouping only reorders execution (group members run
+    # back-to-back over the per-process trace memo); per-cell
+    # seeding keeps payloads identical in any order
+    retried = 0
+    for group in plan:
+        for index in group:
+            attempts = 0
+            while True:
+                attempts += 1
+                outcome = _validated(
+                    _worker(
                         executor.run_cell,
-                        cells[indices[0]].spec(),
-                        keys[indices[0]],
+                        cells[index].spec(),
+                        keys[index],
                         executor.timeout,
                     )
-                else:
-                    future = pool.submit(
-                        _batch_worker,
-                        executor.run_cell,
-                        [cells[i].spec() for i in indices],
-                        [keys[i] for i in indices],
-                        executor.timeout,
-                    )
-                inflight[future] = (indices, attempts)
-
-            for group in plan:
-                submit(group, 1)
-            while inflight:
-                done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-                for future in done:
-                    indices, attempts = inflight.pop(future)
-                    try:
-                        raw = future.result()
-                        outcomes = raw if isinstance(raw, list) else [raw]
-                        if len(outcomes) != len(indices):
-                            raise RuntimeError(
-                                "batch returned %d outcomes for %d cells"
-                                % (len(outcomes), len(indices))
-                            )
-                    except Exception as exc:
-                        # a worker that died hard (BrokenProcessPool, ...)
-                        crash = {
-                            "pid": None,
-                            "started": time.time(),
-                            "finished": time.time(),
-                            "status": "failed",
-                            "payload": None,
-                            "error": "worker crashed: %s: %s" % (type(exc).__name__, exc),
-                        }
-                        outcomes = [dict(crash) for _ in indices]
-                    for index, outcome in zip(indices, outcomes):
-                        outcome = _validated(outcome)
-                        if outcome["status"] != OK and len(indices) > 1:
-                            # a cell that failed inside a group runs solo
-                            # from now on — including on a future --resume
-                            executor._note_group_failure(index)
-                        if outcome["status"] != OK and executor._attempts_left(attempts):
-                            retried += 1
-                            try:
-                                # retries run solo: a group-wide failure
-                                # (dead worker) must not respawn the group
-                                submit([index], attempts + 1)
-                                continue
-                            except Exception:
-                                pass  # pool unusable; record the failure
-                        executor._deliver(index, outcome, attempts)
-        return retried
-
-
-class QueueDirBackend(ExecutorBackend):
-    """Work-stealing execution over a shared queue directory.
-
-    Args:
-        queue_dir: the shared directory (created if missing).
-        workers: worker processes to spawn locally.  ``None`` spawns
-            ``executor.jobs`` of them; ``0`` spawns none and relies on
-            external ``repro worker`` processes entirely.
-        lease_timeout: seconds without a heartbeat before a claim is
-            considered dead and its task reclaimed.
-        heartbeat_interval: how often workers touch their lease.
-        poll_interval: driver/worker poll cadence.
-        threads: run spawned workers as in-process threads instead of
-            subprocesses — for tests with closure evaluators that
-            cannot cross a process boundary.  Do not mix thread-mode
-            closures with external process workers.
-        max_respawns: replacement budget for spawned workers that die;
-            default twice the spawn count.
-        stop_workers: write the stop sentinel when the run finishes so
-            idle workers (spawned and external) drain out.
-    """
-
-    name = "queue-dir"
-    forks = True
-
-    def __init__(
-        self,
-        queue_dir,
-        workers: Optional[int] = None,
-        lease_timeout: float = 10.0,
-        heartbeat_interval: float = 1.0,
-        poll_interval: float = 0.05,
-        threads: bool = False,
-        max_respawns: Optional[int] = None,
-        stop_workers: bool = True,
-    ):
-        self.queue_dir = queue_dir
-        self.workers = workers
-        self.lease_timeout = float(lease_timeout)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.poll_interval = float(poll_interval)
-        self.threads = bool(threads)
-        self.max_respawns = max_respawns
-        self.stop_workers = bool(stop_workers)
-        self._procs: List[subprocess.Popen] = []
-        self._threads: List[threading.Thread] = []
-        self._respawns = 0
-        self._held = 0
-        self._queue: Optional[QueueDir] = None
-
-    def hold_open(self):
-        """Keep workers alive across several ``execute`` calls.
-
-        Multi-phase drivers (the adaptive sweep runs one executor per
-        rung) wrap their phases in this context manager so the worker
-        fleet — spawned *and* external — survives between phases; the
-        stop sentinel is written once, on exit.
-        """
-        backend = self
-
-        class _Session:
-            def __enter__(self):
-                backend._held += 1
-                return backend
-
-            def __exit__(self, *exc):
-                backend._held -= 1
-                if backend._held == 0 and backend._queue is not None:
-                    backend._shutdown(backend._queue)
-                    backend._queue = None
-                return False
-
-        return _Session()
-
-    # -- worker management -------------------------------------------------
-
-    def _spawn_count(self, executor) -> int:
-        return executor.jobs if self.workers is None else max(0, int(self.workers))
-
-    def _spawn_process(self, executor, queue: QueueDir) -> None:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        if "REPRO_TRACE_CACHE" not in env and executor.cache is not None:
-            # workers are fresh processes, not forks: point them at the
-            # same on-disk trace cache the driver co-located with results
-            env["REPRO_TRACE_CACHE"] = str(executor.cache.root / "traces")
-        self._procs.append(
-            subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "worker",
-                    str(queue.root),
-                    "--poll",
-                    "%g" % self.poll_interval,
-                    "--heartbeat",
-                    "%g" % self.heartbeat_interval,
-                ],
-                env=env,
-                stdout=subprocess.DEVNULL,
-            )
-        )
-
-    def _spawn_thread(self, executor, queue: QueueDir) -> None:
-        thread = threading.Thread(
-            target=run_worker,
-            kwargs=dict(
-                queue=queue,
-                run_cell=executor.run_cell,
-                poll_interval=self.poll_interval,
-                heartbeat_interval=self.heartbeat_interval,
-            ),
-            daemon=True,
-        )
-        thread.start()
-        self._threads.append(thread)
-
-    def _spawn(self, executor, queue: QueueDir, count: int) -> None:
-        # top up to *count* live workers (a held-open session keeps the
-        # fleet from a previous execute() alive; don't double it)
-        if self.threads:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            deficit = count - len(self._threads)
-        else:
-            self._procs = [p for p in self._procs if p.poll() is None]
-            deficit = count - len(self._procs)
-        for _ in range(max(0, deficit)):
-            if self.threads:
-                self._spawn_thread(executor, queue)
-            else:
-                self._spawn_process(executor, queue)
-
-    def _maintain_workers(self, executor, queue: QueueDir) -> None:
-        """Replace spawned workers that died while work is outstanding."""
-        if self.threads or not self._procs:
-            return
-        budget = self.max_respawns
-        if budget is None:
-            budget = 2 * max(1, self._spawn_count(executor))
-        live = []
-        dead = 0
-        for proc in self._procs:
-            if proc.poll() is None:
-                live.append(proc)
-            else:
-                dead += 1
-        self._procs = live
-        for _ in range(dead):
-            if self._respawns >= budget:
-                if not live and self.workers != 0:
-                    raise RuntimeError(
-                        "queue-dir backend: all spawned workers died and the "
-                        "respawn budget (%d) is exhausted" % budget
-                    )
-                return
-            self._respawns += 1
-            self._spawn_process(executor, queue)
-
-    def _shutdown(self, queue: QueueDir) -> None:
-        if self.stop_workers:
-            queue.request_stop()
-        for proc in self._procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=2)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-        self._procs = []
-        for thread in self._threads:
-            thread.join(timeout=10)
-        self._threads = []
-
-    # -- driver ------------------------------------------------------------
-
-    def execute(self, executor, plan, cells, keys) -> int:
-        queue = QueueDir(self.queue_dir).init()
-        self._queue = queue
-        try:
-            # a sentinel left by an earlier run on the same directory
-            # would make every fresh worker exit immediately
-            os.unlink(queue.root / STOP_SENTINEL)
-        except OSError:
-            pass
-        nonce = os.urandom(4).hex()
-        if executor.run_cell is default_run_cell:
-            cell_path: Optional[str] = None
-        else:
-            try:
-                cell_path = run_cell_path(executor.run_cell)
-            except CellError:
-                if not self.threads:
-                    raise
-                cell_path = None  # thread workers get the callable directly
-
-        counter = itertools.count()
-        # key -> [index, attempts, group_size]; the single source of
-        # truth for what is still owed.  Duplicate results (a reclaimed
-        # worker finishing late) hit a missing key and are dropped —
-        # safe, because payloads are pure functions of the spec.
-        outstanding: Dict[str, List[int]] = {}
-        retried = 0
-
-        def enqueue(indices: List[int], attempts: int) -> None:
-            task_id = "%s-t%06d" % (nonce, next(counter))
-            for i in indices:
-                outstanding[keys[i]] = [i, attempts, len(indices)]
-            queue.enqueue(
-                {
-                    "id": task_id,
-                    "run": nonce,
-                    "attempt": attempts,
-                    "specs": [cells[i].spec() for i in indices],
-                    "keys": [keys[i] for i in indices],
-                    "timeout": executor.timeout,
-                    "run_cell": cell_path,
-                }
-            )
-
-        for group in plan:
-            enqueue(group, 1)
-        self._spawn(executor, queue, self._spawn_count(executor))
-        offsets: Dict[str, int] = {}
-        last_reclaim = time.monotonic()
-        try:
-            while outstanding:
-                progressed = False
-                for record in queue.read_new_results(offsets):
-                    key = record.get("key")
-                    entry = outstanding.get(key) if isinstance(key, str) else None
-                    if entry is None:
-                        continue  # duplicate or foreign record
-                    outcome = record.get("outcome")
-                    if not isinstance(outcome, dict) or "status" not in outcome:
-                        continue
-                    outcome = dict(
-                        {"started": 0.0, "finished": 0.0, "payload": None, "error": None},
-                        **outcome,
-                    )
-                    index, attempts, group_size = entry
-                    if outcome["status"] != OK:
-                        if record.get("run") != nonce or record.get("attempt") != attempts:
-                            continue  # stale failure from a reclaimed attempt
-                        if group_size > 1:
-                            executor._note_group_failure(index)
-                        if executor._attempts_left(attempts):
-                            retried += 1
-                            del outstanding[key]
-                            enqueue([index], attempts + 1)
-                            progressed = True
-                            continue
-                    del outstanding[key]
-                    executor._deliver(index, outcome, attempts)
-                    progressed = True
-                if not outstanding:
+                )
+                if outcome["status"] == OK or not executor._attempts_left(attempts):
                     break
-                if not progressed:
-                    now = time.monotonic()
-                    if now - last_reclaim >= max(self.lease_timeout / 4, self.poll_interval):
-                        queue.reclaim_stale(self.lease_timeout)
-                        last_reclaim = now
-                    self._maintain_workers(executor, queue)
-                    time.sleep(self.poll_interval)
-        finally:
-            if self._held == 0:
-                self._shutdown(queue)
-                self._queue = None
-        return retried
+                retried += 1
+            if outcome["status"] != OK and len(group) > 1:
+                executor._note_group_failure(index)
+            executor._deliver(index, outcome, attempts)
+    return retried
 
 
-#: backend registry for ``--backend`` (queue-dir needs a directory, so
-#: the CLI constructs it explicitly)
-BACKENDS = {
-    "inline": InlineBackend,
-    "local": LocalPoolBackend,
-    "queue-dir": QueueDirBackend,
-}
+def run_pool(executor, plan, cells, keys) -> int:
+    """Fan groups out to a local fork ``ProcessPoolExecutor``; return
+    the number of retries performed."""
+    retried = 0
+    with ProcessPoolExecutor(
+        max_workers=min(executor.jobs, len(plan)), mp_context=_pool_context()
+    ) as pool:
+        inflight: Dict[object, Tuple[List[int], int]] = {}
 
+        def submit(indices, attempts):
+            if len(indices) == 1:
+                future = pool.submit(
+                    _worker,
+                    executor.run_cell,
+                    cells[indices[0]].spec(),
+                    keys[indices[0]],
+                    executor.timeout,
+                )
+            else:
+                future = pool.submit(
+                    _batch_worker,
+                    executor.run_cell,
+                    [cells[i].spec() for i in indices],
+                    [keys[i] for i in indices],
+                    executor.timeout,
+                )
+            inflight[future] = (indices, attempts)
 
-def make_backend(spec, **kwargs) -> ExecutorBackend:
-    """Build a backend from a name or pass an instance through."""
-    if isinstance(spec, ExecutorBackend):
-        return spec
-    factory = BACKENDS.get(spec)
-    if factory is None:
-        raise ValueError(
-            "unknown backend %r (expected one of %s)" % (spec, sorted(BACKENDS))
-        )
-    if factory is QueueDirBackend and "queue_dir" not in kwargs:
-        raise ValueError("queue-dir backend needs queue_dir=")
-    return factory(**kwargs)
+        for group in plan:
+            submit(group, 1)
+        while inflight:
+            # ``wait`` is looked up in this module's globals so that
+            # perfbench's tracer can wrap it (its executor.wait layer)
+            done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
+            for future in done:
+                indices, attempts = inflight.pop(future)
+                try:
+                    raw = future.result()
+                    outcomes = raw if isinstance(raw, list) else [raw]
+                    if len(outcomes) != len(indices):
+                        raise RuntimeError(
+                            "batch returned %d outcomes for %d cells"
+                            % (len(outcomes), len(indices))
+                        )
+                except Exception as exc:
+                    # a worker that died hard (BrokenProcessPool, ...)
+                    crash = {
+                        "pid": None,
+                        "started": time.time(),
+                        "finished": time.time(),
+                        "status": "failed",
+                        "payload": None,
+                        "error": "worker crashed: %s: %s" % (type(exc).__name__, exc),
+                    }
+                    outcomes = [dict(crash) for _ in indices]
+                for index, outcome in zip(indices, outcomes):
+                    outcome = _validated(outcome)
+                    if outcome["status"] != OK and len(indices) > 1:
+                        # a cell that failed inside a group runs solo
+                        # from now on — including on a future --resume
+                        executor._note_group_failure(index)
+                    if outcome["status"] != OK and executor._attempts_left(attempts):
+                        retried += 1
+                        try:
+                            # retries run solo: a group-wide failure
+                            # (dead worker) must not respawn the group
+                            submit([index], attempts + 1)
+                            continue
+                        except Exception:
+                            pass  # pool unusable; record the failure
+                    executor._deliver(index, outcome, attempts)
+    return retried

@@ -462,13 +462,12 @@ class Executor:
             scheduling change: cache keys and payloads are identical
             to ``batch=False``, and a FAILED cell inside a group is
             retried solo.
-        backend: where cells physically run — an
-            :class:`~repro.experiments.backends.ExecutorBackend`
-            instance or a name (``"inline"``/``"local"``).  The default
-            (None) picks inline for ``jobs=1`` and the local process
-            pool otherwise, preserving historical behavior.  Backends
-            only schedule; caching, retries, validation, and payloads
-            are backend-independent, so every backend is bit-identical.
+
+    Placement follows ``jobs`` alone: ``jobs=1`` runs the inline loop,
+    ``jobs>1`` the fork process pool (both in
+    :mod:`repro.experiments.backends`).  The loops only schedule;
+    caching, retries, validation, and payloads are shared, so both
+    are bit-identical.
     """
 
     def __init__(
@@ -483,7 +482,6 @@ class Executor:
         prewarm: Optional[Callable[[], None]] = None,
         progress: Optional[Callable[[dict], None]] = None,
         batch: bool = False,
-        backend=None,
     ):
         self.jobs = max(1, int(jobs or 1))
         if cache is not None and not isinstance(cache, ResultCache):
@@ -497,26 +495,11 @@ class Executor:
         self.prewarm = prewarm
         self.progress = progress
         self.batch = bool(batch)
-        self.backend = backend
         self._tracker = None
         self._warm_workloads: set = set()
         self._cells: List[Cell] = []
         self._keys: List[str] = []
         self._results: List[Optional[CellResult]] = []
-
-    def _resolve_backend(self):
-        from repro.experiments.backends import (
-            ExecutorBackend,
-            InlineBackend,
-            LocalPoolBackend,
-            make_backend,
-        )
-
-        if self.backend is None:
-            return InlineBackend() if self.jobs == 1 else LocalPoolBackend()
-        if isinstance(self.backend, ExecutorBackend):
-            return self.backend
-        return make_backend(self.backend)
 
     def run(self, cells: Iterable[Cell]) -> RunReport:
         """Execute *cells*, returning results in input order."""
@@ -571,14 +554,16 @@ class Executor:
 
         retried = 0
         if pending:
-            backend = self._resolve_backend()
-            if self.prewarm is not None and backend.forks:
+            from repro.experiments.backends import run_inline, run_pool
+
+            execute = run_inline if self.jobs == 1 else run_pool
+            if self.prewarm is not None and execute is run_pool:
                 # warm shared state (trace caches) in the parent so
                 # forked workers inherit it copy-on-write
                 self.prewarm()
             self._cells, self._keys, self._results = cells, keys, results
             try:
-                retried = backend.execute(self, self._plan(pending, cells, keys), cells, keys)
+                retried = execute(self, self._plan(pending, cells, keys), cells, keys)
             finally:
                 self._cells, self._keys, self._results = [], [], []
 
@@ -648,11 +633,11 @@ class Executor:
         return order
 
     def _deliver(self, index: int, outcome: dict, attempts: int) -> CellResult:
-        """Record one cell's final outcome (backends' result channel).
+        """Record one cell's final outcome (the loops' result channel).
 
         Validation, the immediate cache write (the checkpoint for
-        ``--resume``), and the progress event all live here so no
-        backend can skip them.
+        ``--resume``), and the progress event all live here so neither
+        execution loop can skip them.
         """
         outcome = _validated(outcome)
         result = self._to_result(self._cells[index], outcome, attempts)

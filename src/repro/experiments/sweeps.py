@@ -169,8 +169,7 @@ def sweep_cells(
 
 def _sweep_parallel(
     workloads, policies, overrides, scale, jobs, cache_dir, timeout, retries,
-    metrics=None, trace=None, progress=None, batch=False, backend=None,
-    policy_overrides=None,
+    metrics=None, trace=None, progress=None, batch=False, policy_overrides=None,
 ) -> SweepResult:
     from repro.experiments.executor import Executor
 
@@ -186,7 +185,6 @@ def _sweep_parallel(
         trace=trace,
         progress=progress,
         batch=batch,
-        backend=backend,
     )
     report = executor.run(cells)
     result = SweepResult()
@@ -216,7 +214,6 @@ def sweep(
     trace=None,
     progress=None,
     batch: bool = False,
-    backend=None,
     policy_overrides: Optional[Dict[str, Sequence[object]]] = None,
 ) -> SweepResult:
     """Run the full cross product and return a :class:`SweepResult`.
@@ -240,7 +237,7 @@ def sweep(
     indexed once per group — a pure scheduling change, results and
     cache keys are unchanged.
     """
-    if jobs is not None or cache_dir is not None or backend is not None:
+    if jobs is not None or cache_dir is not None:
         if base_config is not None or traces is not None:
             raise ValueError(
                 "parallel sweep supports the default base config only "
@@ -250,7 +247,7 @@ def sweep(
         return _sweep_parallel(
             workloads, policies, overrides, scale, jobs, cache_dir,
             timeout, retries, metrics=metrics, trace=trace, progress=progress,
-            batch=batch, backend=backend, policy_overrides=policy_overrides,
+            batch=batch, policy_overrides=policy_overrides,
         )
     overrides = overrides or {}
     base = base_config or MultiscalarConfig()

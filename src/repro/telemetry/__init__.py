@@ -29,7 +29,7 @@ from repro.telemetry.ledger import (
     resolve_ledger_path,
 )
 from repro.telemetry.profiler import PROFILER, Profiler, ProfileRecord, ProfileScope
-from repro.telemetry.prometheus import MetricsServer, serve_registry, to_prometheus
+from repro.telemetry.prometheus import to_prometheus
 from repro.telemetry.registry import (
     NULL_METRICS,
     Counter,
@@ -77,12 +77,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "MetricsServer",
     "RunLedger",
     "diff_records",
     "make_record",
     "resolve_ledger_path",
-    "serve_registry",
     "to_prometheus",
     "NULL_METRICS",
     "NULL_TELEMETRY",

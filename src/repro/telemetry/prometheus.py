@@ -1,4 +1,4 @@
-"""Prometheus text-format export and a stdlib /metrics HTTP server.
+"""Prometheus text-format export.
 
 The exporter renders a :class:`~repro.telemetry.registry.MetricRegistry`
 snapshot in the Prometheus text exposition format (version 0.0.4), the
@@ -16,22 +16,14 @@ lingua franca every scraper and most dashboards speak:
   full trajectory stays in the JSON snapshot).
 
 Metric names are sanitized to ``[a-zA-Z_][a-zA-Z0-9_]*`` (dots become
-underscores) and prefixed ``repro_``.
-
-:class:`MetricsServer` serves the rendered text over ``http.server``
-(stdlib only — no new dependencies), which is the groundwork for the
-roadmap's ``repro serve`` ``/metrics`` endpoint; ``repro metrics-serve``
-is the CLI front-end.
+underscores) and prefixed ``repro_``.  ``repro metrics-export`` is the
+CLI front-end: it prints the text for a ``--metrics`` snapshot file.
 """
 
 from __future__ import annotations
 
 import re
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, List
-
-#: Content type of the text exposition format, as scrapers expect it.
-CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+from typing import List
 
 _INVALID = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -99,58 +91,3 @@ def to_prometheus(snapshot) -> str:
             lines.append("%s_last %s" % (base, _number(samples[-1][1])))
 
     return "\n".join(lines) + "\n"
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """GET / or /metrics -> the server's rendered registry text."""
-
-    server_version = "repro-metrics"
-
-    def do_GET(self):  # noqa: N802 - http.server API
-        if self.path.split("?")[0] not in ("/", "/metrics"):
-            self.send_error(404, "try /metrics")
-            return
-        try:
-            body = self.server.render().encode("utf-8")  # type: ignore[attr-defined]
-        except Exception as exc:
-            self.send_error(500, "render failed: %s" % exc)
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format, *args):  # noqa: A002 - http.server API
-        pass  # scrapes are periodic; keep stderr quiet
-
-
-class MetricsServer(ThreadingHTTPServer):
-    """A /metrics endpoint over a render callable.
-
-    ``render`` is invoked per request, so serving a callable that
-    re-reads a snapshot file (or renders a live registry) always
-    exposes current values.  ``port=0`` binds an ephemeral port;
-    ``server.server_address[1]`` reports the bound one.
-    """
-
-    daemon_threads = True
-
-    def __init__(self, render: Callable[[], str], host="127.0.0.1", port=0):
-        self.render = render
-        super().__init__((host, port), _MetricsHandler)
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def handle_requests(self, count: int) -> None:
-        """Serve exactly *count* requests, then return (for smoke tests
-        and bounded CLI runs)."""
-        for _ in range(count):
-            self.handle_request()
-
-
-def serve_registry(registry, host="127.0.0.1", port=0) -> MetricsServer:
-    """A :class:`MetricsServer` over a live registry (or snapshot dict)."""
-    return MetricsServer(lambda: to_prometheus(registry), host=host, port=port)

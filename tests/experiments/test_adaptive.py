@@ -1,8 +1,8 @@
 """Successive-halving sweep driver: algorithm, units, and determinism.
 
 The hypothesis suite pins the PR's core claim: same grid + same
-sources ⇒ bit-identical rung membership and final table, regardless of
-backend or worker count.  The evaluator below makes ties common, so
+sources ⇒ bit-identical rung membership and final table, inline or on
+a process pool of any size.  The evaluator below makes ties common, so
 the full-scale-key tie-break (not luck) is what the property exercises.
 """
 
@@ -10,7 +10,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.adaptive import (
@@ -19,7 +19,6 @@ from repro.experiments.adaptive import (
     adaptive_sweep,
     default_rungs,
 )
-from repro.experiments.backends import QueueDirBackend
 from repro.experiments.executor import ResultCache, source_fingerprint
 from repro.experiments.sweeps import SweepResult, make_sweep_cell
 
@@ -192,7 +191,7 @@ def test_savings_property_handles_empty():
     assert empty.savings == 0.0
 
 
-# -- determinism across backends and worker counts ---------------------------
+# -- determinism across inline and pooled execution -------------------------
 
 WORKLOAD_NAMES = st.lists(
     st.sampled_from(["wa", "wb", "wc"]), min_size=1, max_size=2, unique=True
@@ -211,22 +210,21 @@ OVERRIDES = st.dictionaries(
 )
 
 
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=15, deadline=None)
 @given(
     workloads=WORKLOAD_NAMES,
     policies=POLICY_NAMES,
     overrides=OVERRIDES,
     eta=st.integers(min_value=2, max_value=3),
     metric=st.sampled_from(sorted(METRICS)),
-    queue_workers=st.integers(min_value=1, max_value=3),
+    pool_jobs=st.integers(min_value=2, max_value=3),
 )
 def test_adaptive_is_backend_invariant(
-    tmp_path_factory, workloads, policies, overrides, eta, metric, queue_workers
+    workloads, policies, overrides, eta, metric, pool_jobs
 ):
     """Same grid + same sources ⇒ identical rung membership, winners,
-    and rendered table — serial, repeated, or work-stealing with any
-    worker count."""
+    and rendered table — serial, repeated, or on a process pool of any
+    size."""
     grid = dict(
         policies=tuple(policies),
         overrides=overrides,
@@ -237,16 +235,8 @@ def test_adaptive_is_backend_invariant(
     )
     serial = adaptive_sweep(list(workloads), **grid)
     again = adaptive_sweep(list(workloads), **grid)
-    queue_root = tmp_path_factory.mktemp("queue")
-    stolen = adaptive_sweep(
-        list(workloads),
-        jobs=queue_workers,
-        backend=QueueDirBackend(
-            queue_root, workers=queue_workers, threads=True, poll_interval=0.005
-        ),
-        **grid,
-    )
-    for other in (again, stolen):
+    pooled = adaptive_sweep(list(workloads), jobs=pool_jobs, **grid)
+    for other in (again, pooled):
         assert other.rungs == serial.rungs
         assert render(other) == render(serial)
         assert {w: p.policy for w, p in other.winners.items()} == {

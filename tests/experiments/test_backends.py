@@ -1,49 +1,25 @@
-"""Executor backends: selection, equivalence, and fault injection.
+"""The executor's two execution loops: placement follows ``jobs``.
 
-The contract under test: backends only decide *where* cells run —
-every payload, cache key, and result ordering is bit-identical across
-inline, local-pool, and queue-dir execution, including when a
-queue-dir worker is killed mid-run and its lease is reclaimed.
+``jobs=1`` runs :func:`~repro.experiments.backends.run_inline`,
+``jobs>1`` :func:`~repro.experiments.backends.run_pool`.  Both must give
+bit-identical payloads in input order; pool crash containment is covered
+by ``test_executor_batch.py`` and ``test_executor_faults.py``.
 """
 
 import json
-import os
-import threading
-import time
 
-import pytest
+from repro.experiments import backends
+from repro.experiments.executor import Cell, Executor
 
-from repro.experiments.backends import (
-    BACKENDS,
-    ExecutorBackend,
-    InlineBackend,
-    LocalPoolBackend,
-    QueueDirBackend,
-    make_backend,
-)
-from repro.experiments.executor import Cell, CellError, Executor
-from repro.experiments.queuedir import QueueDir, run_worker
-
-
-# -- cell evaluators (top-level: importable by worker processes) ------------
 
 def payload_cell(spec):
-    """Deterministic pure function of the spec."""
-    params = dict(spec["params"])
-    return {"name": spec["name"], "workload": params.get("workload")}
-
-
-def sleepy_cell(spec):
-    """Deterministic payload after a configurable nap — slow enough to
-    kill a worker while its task is in flight."""
-    params = dict(spec["params"])
-    time.sleep(float(params.get("naptime", 0)))
+    """Deterministic pure function of the spec (top-level: picklable)."""
     return {"name": spec["name"]}
 
 
-def grid_cells(n=4, **extra):
+def grid_cells(n=4):
     return [
-        Cell.make("sweep", "w%d/p" % i, workload="w%d" % i, policy="p", **extra)
+        Cell.make("sweep", "w%d/p" % i, workload="w%d" % i, policy="p")
         for i in range(n)
     ]
 
@@ -52,205 +28,31 @@ def payloads(report):
     return [json.dumps(r.payload, sort_keys=True) for r in report.results]
 
 
-# -- registry and selection --------------------------------------------------
+def test_executor_default_backend_follows_jobs(monkeypatch):
+    calls = []
+    for name in ("run_inline", "run_pool"):
+        real = getattr(backends, name)
 
-def test_backend_registry_names():
-    assert set(BACKENDS) == {"inline", "local", "queue-dir"}
-    assert make_backend("inline").name == "inline"
-    assert make_backend("local").name == "local"
+        def spy(executor, plan, cells, keys, _name=name, _real=real):
+            calls.append(_name)
+            return _real(executor, plan, cells, keys)
 
-
-def test_make_backend_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown backend"):
-        make_backend("slurm")
-
-
-def test_make_backend_requires_queue_dir():
-    with pytest.raises(ValueError, match="queue_dir"):
-        make_backend("queue-dir")
-
-
-def test_make_backend_passes_instances_through():
-    backend = InlineBackend()
-    assert make_backend(backend) is backend
+        monkeypatch.setattr(backends, name, spy)
+    cells = [Cell.make("sweep", "w%d/p" % i, workload="w%d" % i) for i in range(2)]
+    prewarmed = []
+    for jobs in (1, 2):
+        Executor(
+            jobs=jobs, run_cell=payload_cell, prewarm=lambda j=jobs: prewarmed.append(j)
+        ).run(cells)
+    assert calls == ["run_inline", "run_pool"]
+    # only the forking pool path warms shared state in the parent
+    assert prewarmed == [2]
 
 
-def test_executor_default_backend_follows_jobs():
-    assert isinstance(Executor(jobs=1)._resolve_backend(), InlineBackend)
-    assert isinstance(Executor(jobs=2)._resolve_backend(), LocalPoolBackend)
-
-
-def test_executor_accepts_backend_by_name():
-    backend = Executor(jobs=4, backend="inline")._resolve_backend()
-    assert isinstance(backend, InlineBackend)
-
-
-def test_custom_backend_must_implement_execute():
-    with pytest.raises(NotImplementedError):
-        ExecutorBackend().execute(None, [], [], [])
-
-
-# -- equivalence across backends --------------------------------------------
-
-def test_inline_local_and_queue_dir_payloads_identical(tmp_path):
+def test_inline_local_and_queue_dir_payloads_identical():
+    # the queue-dir loop is gone; inline and local pool must still agree
     cells = grid_cells()
-    inline = Executor(jobs=1, run_cell=payload_cell, backend="inline").run(cells)
-    local = Executor(jobs=2, run_cell=payload_cell, backend="local").run(cells)
-    queued = Executor(
-        jobs=2,
-        run_cell=payload_cell,
-        backend=QueueDirBackend(
-            tmp_path / "q", workers=2, poll_interval=0.01, lease_timeout=5
-        ),
-    ).run(cells)
-    assert payloads(inline) == payloads(local) == payloads(queued)
-    assert [r.cell.name for r in queued.results] == [c.name for c in cells]
-
-
-def test_queue_dir_thread_mode_runs_closures(tmp_path):
-    seen = []
-
-    def closure_cell(spec):  # not importable: thread-mode only
-        seen.append(spec["name"])
-        return {"name": spec["name"]}
-
-    cells = grid_cells()
-    backend = QueueDirBackend(
-        tmp_path / "q", workers=2, threads=True, poll_interval=0.01
-    )
-    report = Executor(jobs=2, run_cell=closure_cell, backend=backend).run(cells)
-    assert sorted(seen) == sorted(c.name for c in cells)
-    assert all(r.ok for r in report.results)
-
-
-def test_queue_dir_process_mode_rejects_closures(tmp_path):
-    backend = QueueDirBackend(tmp_path / "q", workers=1)
-    with pytest.raises(CellError, match="not importable"):
-        Executor(jobs=1, run_cell=lambda spec: {}, backend=backend).run(grid_cells(1))
-
-
-def test_queue_dir_writes_results_through_executor_cache(tmp_path):
-    cells = grid_cells()
-    backend = QueueDirBackend(tmp_path / "q", workers=2, poll_interval=0.01)
-    cold = Executor(
-        jobs=2, run_cell=payload_cell, cache=tmp_path / "cache", backend=backend
-    ).run(cells)
-    assert cold.counters()["cells_cached"] == 0
-    # a warm rerun needs no backend at all: everything is cached
-    warm = Executor(
-        jobs=1, run_cell=payload_cell, cache=tmp_path / "cache", backend="inline"
-    ).run(cells)
-    assert warm.counters()["cells_cached"] == len(cells)
-    assert payloads(warm) == payloads(cold)
-
-
-def test_queue_dir_external_workers_only(tmp_path):
-    """workers=0 relies entirely on externally started workers."""
-    cells = grid_cells()
-    queue_root = tmp_path / "q"
-    backend = QueueDirBackend(queue_root, workers=0, poll_interval=0.01)
-    external = threading.Thread(
-        target=run_worker,
-        kwargs=dict(queue=QueueDir(queue_root).init(), run_cell=payload_cell,
-                    poll_interval=0.01),
-        daemon=True,
-    )
-    external.start()
-    report = Executor(jobs=1, run_cell=payload_cell, backend=backend).run(cells)
-    assert all(r.ok for r in report.results)
-    external.join(timeout=10)
-    assert not external.is_alive()  # the stop sentinel drained it
-
-
-# -- fault injection ---------------------------------------------------------
-
-def test_killed_worker_lease_is_reclaimed_and_sweep_completes(tmp_path):
-    """Kill a queue-dir worker process mid-task: the driver reclaims
-    its lease, a replacement re-executes the shard, and the run ends
-    with every cell delivered exactly once — no lost, no duplicated."""
-    cells = [
-        Cell.make("sweep", "w%d/p" % i, workload="w%d" % i, policy="p", naptime=0.4)
-        for i in range(6)
-    ]
-    backend = QueueDirBackend(
-        tmp_path / "q",
-        workers=2,
-        poll_interval=0.02,
-        heartbeat_interval=0.1,
-        lease_timeout=1.0,
-    )
-    executor = Executor(jobs=2, run_cell=sleepy_cell, backend=backend, retries=1)
-
-    killed = {}
-
-    def assassin():
-        deadline = time.time() + 30
-        leases = (tmp_path / "q") / "leases"
-        while time.time() < deadline:
-            if backend._procs and any(leases.glob("*.lease")):
-                victim = backend._procs[0]
-                victim.kill()
-                killed["pid"] = victim.pid
-                return
-            time.sleep(0.02)
-
-    thread = threading.Thread(target=assassin, daemon=True)
-    thread.start()
-    report = executor.run(cells)
-    thread.join(timeout=30)
-
-    assert "pid" in killed, "assassin never found a claimed lease"
-    assert len(report.results) == len(cells)
-    assert all(r.ok for r in report.results)
-    # exactly one result per cell, in input order
-    assert [r.cell.name for r in report.results] == [c.name for c in cells]
-    # and the payloads match an undisturbed inline run bit for bit
-    reference = Executor(jobs=1, run_cell=sleepy_cell, backend="inline").run(cells)
-    assert payloads(report) == payloads(reference)
-
-
-def test_all_workers_dead_and_budget_exhausted_raises(tmp_path):
-    backend = QueueDirBackend(
-        tmp_path / "q",
-        workers=1,
-        poll_interval=0.02,
-        heartbeat_interval=0.1,
-        lease_timeout=0.5,
-        max_respawns=0,
-    )
-    cells = [Cell.make("sweep", "w/p", workload="w", policy="p", naptime=5.0)]
-    executor = Executor(jobs=1, run_cell=sleepy_cell, backend=backend)
-
-    def assassinate_everything():
-        deadline = time.time() + 30
-        while time.time() < deadline:
-            if backend._procs:
-                for proc in backend._procs:
-                    proc.kill()
-                return
-            time.sleep(0.02)
-
-    thread = threading.Thread(target=assassinate_everything, daemon=True)
-    thread.start()
-    with pytest.raises(RuntimeError, match="respawn budget"):
-        executor.run(cells)
-    thread.join(timeout=10)
-
-
-def test_hold_open_keeps_workers_across_executes(tmp_path):
-    backend = QueueDirBackend(
-        tmp_path / "q", workers=2, threads=True, poll_interval=0.01
-    )
-    with backend.hold_open():
-        first = Executor(jobs=2, run_cell=payload_cell, backend=backend).run(
-            grid_cells(3)
-        )
-        alive = [t for t in backend._threads if t.is_alive()]
-        assert len(alive) == 2  # no stop sentinel between runs
-        second = Executor(jobs=2, run_cell=payload_cell, backend=backend).run(
-            grid_cells(5)
-        )
-    assert all(r.ok for r in first.results + second.results)
-    time.sleep(0.2)
-    assert not any(t.is_alive() for t in backend._threads or [])
-    assert os.path.exists(tmp_path / "q" / "STOP")
+    inline = Executor(jobs=1, run_cell=payload_cell).run(cells)
+    local = Executor(jobs=2, run_cell=payload_cell).run(cells)
+    assert payloads(inline) == payloads(local)
+    assert [r.cell.name for r in local.results] == [c.name for c in cells]

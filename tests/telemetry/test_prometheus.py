@@ -1,19 +1,10 @@
-"""Tests for the Prometheus text-format exporter and /metrics server."""
+"""Tests for the Prometheus text-format exporter."""
 
 import json
 import re
-import threading
-import urllib.error
-import urllib.request
 
 from repro.telemetry import MetricRegistry
-from repro.telemetry.prometheus import (
-    CONTENT_TYPE,
-    MetricsServer,
-    metric_name,
-    serve_registry,
-    to_prometheus,
-)
+from repro.telemetry.prometheus import metric_name, to_prometheus
 
 #: one sample line of the 0.0.4 exposition format:
 #: name, optional {labels}, a space, a plain decimal value
@@ -118,56 +109,3 @@ def test_snapshot_survives_json_roundtrip():
     reg = loaded_registry()
     snapshot = json.loads(json.dumps(reg.to_dict()))
     assert to_prometheus(snapshot) == to_prometheus(reg)
-
-
-def test_metrics_server_serves_text():
-    server = serve_registry(loaded_registry())  # ephemeral port
-    thread = threading.Thread(target=server.handle_requests, args=(1,))
-    thread.start()
-    try:
-        with urllib.request.urlopen(
-            "http://127.0.0.1:%d/metrics" % server.port
-        ) as response:
-            assert response.status == 200
-            assert response.headers["Content-Type"] == CONTENT_TYPE
-            body = response.read().decode("utf-8")
-    finally:
-        thread.join()
-        server.server_close()
-    assert "repro_engine_loads_parked_total 3" in body
-    parse_exposition(body)
-
-
-def test_metrics_server_404_off_path():
-    server = MetricsServer(lambda: "x 1\n")
-    thread = threading.Thread(target=server.handle_requests, args=(1,))
-    thread.start()
-    try:
-        try:
-            urllib.request.urlopen("http://127.0.0.1:%d/nope" % server.port)
-            status = 200
-        except urllib.error.HTTPError as err:
-            status = err.code
-    finally:
-        thread.join()
-        server.server_close()
-    assert status == 404
-
-
-def test_metrics_server_render_failure_is_500():
-    def broken():
-        raise RuntimeError("boom")
-
-    server = MetricsServer(broken)
-    thread = threading.Thread(target=server.handle_requests, args=(1,))
-    thread.start()
-    try:
-        try:
-            urllib.request.urlopen("http://127.0.0.1:%d/metrics" % server.port)
-            status = 200
-        except urllib.error.HTTPError as err:
-            status = err.code
-    finally:
-        thread.join()
-        server.server_close()
-    assert status == 500

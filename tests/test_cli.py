@@ -579,19 +579,17 @@ def test_sweep_adaptive_json_ledger_and_progress(capsys, tmp_path):
     assert all(e["best"] for e in rung_events)
 
 
-def test_sweep_adaptive_queue_dir_matches_local_pool(capsys, tmp_path):
-    """The CI smoke contract: an adaptive sweep over the queue-dir
-    backend is bit-identical to the same sweep on the process pool."""
+def test_sweep_adaptive_inline_matches_pool(capsys):
+    """The CI smoke contract: an adaptive sweep run inline (--jobs 1)
+    is bit-identical to the same sweep on the process pool."""
     argv = ["sweep", "sc", "--policies", "always,esync",
             "--override", "stages=2,4", "--scale", "tiny",
-            "--adaptive", "--eta", "2", "--jobs", "2", "--json"]
-    assert main(argv) == 0
+            "--adaptive", "--eta", "2", "--json"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    inline = capsys.readouterr().out
+    assert main(argv + ["--jobs", "2"]) == 0
     pooled = capsys.readouterr().out
-    assert main(argv + ["--backend", "queue-dir",
-                        "--queue-dir", str(tmp_path / "q"),
-                        "--workers", "2"]) == 0
-    stolen = capsys.readouterr().out
-    assert stolen == pooled
+    assert pooled == inline
 
 
 def test_sweep_adaptive_bad_metric_exits_two(capsys):
@@ -600,34 +598,25 @@ def test_sweep_adaptive_bad_metric_exits_two(capsys):
     assert "eta" in capsys.readouterr().err
 
 
-def test_sweep_queue_dir_flags_validated(capsys):
-    assert main(["sweep", "sc", "--backend", "queue-dir"]) == 2
-    assert "--queue-dir" in capsys.readouterr().err
-    assert main(["sweep", "sc", "--queue-dir", "/tmp/q"]) == 2
-    assert "--backend queue-dir" in capsys.readouterr().err
-    assert main(["sweep", "sc", "--workers", "2"]) == 2
-    assert "--workers" in capsys.readouterr().err
-
-
-def test_worker_command_drains_queue(capsys, tmp_path):
-    from tests.experiments.test_queuedir import make_task
-
-    from repro.experiments.queuedir import QueueDir
-
-    queue = QueueDir(tmp_path / "q").init()
-    queue.enqueue(make_task())
-    assert main(["worker", str(tmp_path / "q"), "--max-tasks", "1"]) == 0
-    err = capsys.readouterr().err
-    assert "1 task(s), 1 cell(s), 0 failed" in err
-    assert queue.is_done("run-t000000")
-
-
-def test_worker_rejects_negative_max_tasks(capsys):
-    assert main(["worker", "/tmp/q", "--max-tasks", "-1"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "sc", "--backend", "local"],
+        ["worker", "some-dir"],
+        ["experiment", "table1", "--batch"],
+    ],
+    ids=["backend-flag", "worker-command", "experiment-batch"],
+)
+def test_removed_executor_surface_exits_two(capsys, argv):
+    """Placement follows --jobs alone; the removed flags and commands
+    (and --batch, which only groups sweep cells) are argparse errors."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
     assert "error:" in capsys.readouterr().err
 
 
-# -- observability: run ledger, explain, metrics-serve, bench-report ------
+# -- observability: run ledger, explain, metrics-export, bench-report -----
 
 
 def test_runs_empty_ledger_lists_nothing(capsys, tmp_path, monkeypatch):
@@ -742,12 +731,12 @@ def test_explain_unknown_target_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_metrics_serve_once_prints_parseable_text(capsys, tmp_path):
+def test_metrics_export_prints_parseable_text(capsys, tmp_path):
     snapshot = tmp_path / "metrics.json"
     assert main(["simulate", "sc", "--scale", "tiny",
                  "--metrics", str(snapshot)]) == 0
     capsys.readouterr()
-    assert main(["metrics-serve", str(snapshot), "--once"]) == 0
+    assert main(["metrics-export", str(snapshot)]) == 0
     out = capsys.readouterr().out
     assert "# TYPE" in out
     from tests.telemetry.test_prometheus import parse_exposition
@@ -755,9 +744,21 @@ def test_metrics_serve_once_prints_parseable_text(capsys, tmp_path):
     assert parse_exposition(out)
 
 
-def test_metrics_serve_missing_snapshot_exits_two(capsys, tmp_path):
-    assert main(["metrics-serve", str(tmp_path / "absent.json"), "--once"]) == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "content",
+    [None, "[1, 2]", '"x"', "null"],
+    ids=["missing", "list", "string", "null"],
+)
+def test_metrics_export_bad_snapshot_exits_two(capsys, tmp_path, content):
+    """A missing snapshot, or valid JSON that is not an object, is a
+    one-line usage error, never a traceback."""
+    snapshot = tmp_path / "snapshot.json"
+    if content is not None:
+        snapshot.write_text(content)
+    assert main(["metrics-export", str(snapshot)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def _write_bench_data(tmp_path, warm=3.5, cold=3.5, adaptive=None, **kernel_legs):
