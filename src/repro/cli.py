@@ -53,6 +53,7 @@ run id, missing snapshot).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -60,7 +61,7 @@ import time
 from typing import Optional
 
 from repro.core.stats import speedup
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, run_all
 from repro.frontend import analyze_trace, run_program
 from repro.multiscalar import (
     KERNELS,
@@ -73,7 +74,7 @@ from repro.multiscalar import (
 from repro.multiscalar.config import kernel_error
 from repro.oracle import profile_dependences
 from repro.telemetry import Profiler, make_telemetry, merged_trace
-from repro.workloads import all_workloads, get_workload
+from repro.workloads import WorkloadError, all_workloads, get_workload, resolve_scale
 
 #: Derived from the policy registry so new policies surface here
 #: automatically (order is the registry's presentation order).
@@ -144,9 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_executor_flags(p):
         p.add_argument(
             "--jobs", type=int, default=None, metavar="N",
-            help="run cells through the executor: 1 inline in this "
+            help="executor placement: 1 runs every cell inline in this "
             "process, N > 1 on a pool of N worker processes (default: "
-            "$REPRO_EXECUTOR_JOBS, else the legacy serial in-process path)",
+            "$REPRO_EXECUTOR_JOBS, else 1)",
         )
         p.add_argument(
             "--cache-dir", dest="cache_dir", metavar="DIR",
@@ -184,8 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser(
         "experiment", help="regenerate a paper table/figure",
-        description="Regenerate paper tables/figures, optionally in "
-        "parallel through the cell executor. Exit codes: 0 all cells "
+        description="Regenerate paper tables/figures through the cell "
+        "executor, inline or on a process pool (--jobs). Exit codes: 0 all cells "
         "completed, 2 unknown experiment / usage error / any FAILED cell.",
     )
     p_exp.add_argument("which", help="'all' or one of: %s" % ", ".join(sorted(ALL_EXPERIMENTS)))
@@ -249,12 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rungs", type=int, default=None, metavar="N",
         help="adaptive rung count (default: enough that at most eta "
         "configs reach full scale)",
-    )
-    p_sweep.add_argument(
-        "--batch", action="store_true",
-        help="group cells that share one decoded trace onto one "
-        "worker (each trace decoded exactly once per pool); pure "
-        "scheduling — results and cache keys are unchanged",
     )
     add_kernel_flag(p_sweep)
     add_executor_flags(p_sweep)
@@ -679,8 +674,8 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _resolved_jobs(args):
-    """--jobs, else $REPRO_EXECUTOR_JOBS, else None (legacy serial)."""
+def _resolved_jobs(args) -> int:
+    """--jobs, else $REPRO_EXECUTOR_JOBS, else 1 (inline)."""
     if args.jobs is not None:
         return max(1, args.jobs)
     env = os.environ.get("REPRO_EXECUTOR_JOBS", "").strip()
@@ -692,11 +687,20 @@ def _resolved_jobs(args):
                 "ignoring non-integer REPRO_EXECUTOR_JOBS=%r" % env,
                 file=sys.stderr,
             )
-    return None
+    return 1
 
 
 def _check_executor_usage(args) -> Optional[int]:
-    """Exit code 2 for inconsistent executor flags, else None."""
+    """Exit code 2 for bad executor flags or scale, else None — checked
+    before any cell runs, so a bad input never costs a retry."""
+    try:
+        resolve_scale(args.scale)
+    except WorkloadError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    if args.timeout is not None and not args.timeout > 0:
+        print("error: --timeout must be > 0, got %r" % args.timeout, file=sys.stderr)
+        return 2
     if args.resume and not args.cache_dir:
         print("error: --resume requires --cache-dir", file=sys.stderr)
         return 2
@@ -712,12 +716,12 @@ def _executor_telemetry(args):
     return metrics, trace
 
 
-def _write_executor_telemetry(args, report, metrics, trace):
+def _write_executor_telemetry(args, report, metrics, trace, profile=None):
     if args.metrics:
-        _write_json(
-            args.metrics,
-            {"executor": report.counters(), "metrics": metrics.to_dict()},
-        )
+        snapshot = {"executor": report.counters(), "metrics": metrics.to_dict()}
+        if profile is not None:
+            snapshot["profile"] = profile
+        _write_json(args.metrics, snapshot)
     if args.trace_events:
         _write_json(args.trace_events, trace.to_dict())
 
@@ -817,64 +821,14 @@ def cmd_experiment(args) -> int:
     usage_error = _check_executor_usage(args)
     if usage_error is not None:
         return usage_error
-    jobs = _resolved_jobs(args)
-    if (
-        jobs is None
-        and not args.cache_dir
-        and args.timeout is None
-        and not args.watch
-        and not args.progress_json
-    ):
-        return _experiment_serial(args, keys)
-    return _experiment_executor(args, keys, jobs or 1)
-
-
-def _experiment_serial(args, keys) -> int:
-    """The legacy in-process path (tables keep their wall-clock profile)."""
-    from repro.telemetry import PROFILER
-
-    start = time.time()
-    mark = PROFILER.mark()
-    tables = []
-    for key in keys:
-        table = ALL_EXPERIMENTS[key](args.scale)
-        tables.append(table)
-        _print_table(args, table)
-    if args.metrics:
-        _write_json(args.metrics, {"profile": PROFILER.summary(since=mark)})
-    if args.trace_events:
-        _write_json(args.trace_events, PROFILER.to_trace_events(since=mark))
-    if args.as_json:
-        print(json.dumps([table.to_json() for table in tables], indent=2))
-    if _ledger_enabled(args):
-        from repro.experiments.executor import experiment_cells
-
-        _record_run(
-            args,
-            "experiment",
-            config={
-                "which": args.which,
-                "scale": args.scale,
-                "experiments": keys,
-                "kernel": active_kernel(),
-            },
-            fingerprints=_cell_fingerprints(experiment_cells(keys, args.scale)),
-            phases=PROFILER.summary(since=mark),
-            wall_seconds=round(time.time() - start, 6),
-        )
-    return 0
-
-
-def _experiment_executor(args, keys, jobs) -> int:
-    """The cell-executor path: parallel, cached, fault tolerant."""
-    from repro.experiments import run_all
+    from repro.experiments.executor import experiment_cells, merge_profiles
 
     start = time.time()
     metrics, trace = _executor_telemetry(args)
     progress, progress_writer = _progress_sinks(args)
     try:
         tables, report = run_all(
-            parallel=jobs,
+            parallel=_resolved_jobs(args),
             scale=args.scale,
             experiments=keys,
             cache_dir=args.cache_dir,
@@ -889,12 +843,11 @@ def _experiment_executor(args, keys, jobs) -> int:
             progress_writer.close()
     for key in keys:
         _print_table(args, tables[key])
-    _write_executor_telemetry(args, report, metrics, trace)
+    profile = merge_profiles(tables[key].profile for key in keys)
+    _write_executor_telemetry(args, report, metrics, trace, profile=profile)
     if args.as_json:
         print(json.dumps([tables[key].to_json() for key in keys], indent=2))
     if _ledger_enabled(args):
-        from repro.experiments.executor import experiment_cells
-
         _record_run(
             args,
             "experiment",
@@ -905,6 +858,7 @@ def _experiment_executor(args, keys, jobs) -> int:
                 "kernel": active_kernel(),
             },
             fingerprints=_cell_fingerprints(experiment_cells(keys, args.scale)),
+            phases=profile,
             executor=report.counters(),
             metrics=metrics.to_dict() if metrics is not None else None,
             wall_seconds=round(time.time() - start, 6),
@@ -960,13 +914,27 @@ def cmd_sweep(args) -> int:
     if usage_error is not None:
         return usage_error
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    config_fields = {f.name for f in dataclasses.fields(MultiscalarConfig)}
     try:
         overrides = dict(_parse_override(text) for text in args.override)
         policy_overrides = dict(
             _parse_override(text) for text in args.policy_override
         )
+        # fail fast, before any cell runs, on unknown names
         for name in args.workloads:
-            get_workload(name)  # fail fast on unknown workloads
+            get_workload(name)
+        unknown = [p for p in policies if p.lower() not in POLICIES]
+        if unknown:
+            raise ValueError(
+                "unknown policy %s (valid policies: %s)"
+                % (", ".join(map(repr, unknown)), ", ".join(POLICIES))
+            )
+        unknown = sorted(set(overrides) - config_fields)
+        if unknown:
+            raise ValueError(
+                "unknown --override field %s (MultiscalarConfig fields: %s)"
+                % (", ".join(map(repr, unknown)), ", ".join(sorted(config_fields)))
+            )
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -988,14 +956,13 @@ def cmd_sweep(args) -> int:
                 metric=args.metric,
                 eta=args.eta,
                 rungs=args.rungs,
-                jobs=jobs or 1,
+                jobs=jobs,
                 cache_dir=args.cache_dir,
                 timeout=args.timeout,
                 retries=args.retries,
                 metrics=metrics,
                 trace=trace,
                 progress=progress,
-                batch=args.batch,
             )
             result = adaptive.result
         else:
@@ -1005,14 +972,13 @@ def cmd_sweep(args) -> int:
                 overrides=overrides,
                 policy_overrides=policy_overrides,
                 scale=args.scale,
-                jobs=jobs or 1,
+                jobs=jobs,
                 cache_dir=args.cache_dir,
                 timeout=args.timeout,
                 retries=args.retries,
                 metrics=metrics,
                 trace=trace,
                 progress=progress,
-                batch=args.batch,
             )
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -59,8 +59,9 @@ def _profiled(key, runner):
 
 
 #: experiment id -> profiled runner, for programmatic access to the
-#: whole set (the CLI, report generator, and benchmarks all go through
-#: this table, so every run carries its wall-clock profile)
+#: whole set (executor cells, and through them the CLI, the report
+#: generator, and the benchmarks, all go through this table, so every
+#: run carries its wall-clock profile)
 ALL_EXPERIMENTS = {
     key: _profiled(key, runner)
     for key, runner in {
@@ -92,7 +93,7 @@ _NO_TRACE_EXPERIMENTS = frozenset({"table2", "spectaint"})
 
 
 def run_all(
-    parallel=None,
+    parallel=1,
     scale="test",
     experiments=None,
     cache_dir=None,
@@ -102,10 +103,10 @@ def run_all(
     trace=None,
     progress=None,
 ):
-    """Run experiments through the parallel executor.
+    """Run experiments through the executor — the one way tables are made.
 
     Args:
-        parallel: worker processes (None/1 = inline in this process).
+        parallel: worker processes (1 = inline in this process).
         scale: workload scale for every cell.
         experiments: iterable of experiment ids (default: all of them).
         cache_dir: content-addressed result cache directory; finished
@@ -120,8 +121,10 @@ def run_all(
 
     Returns:
         ``(tables, report)`` — a dict of experiment id ->
-        :class:`ExperimentTable` in sorted-key order (FAILED experiments
-        degrade to placeholder tables instead of aborting the run), and
+        :class:`ExperimentTable` in *experiments* order, each carrying
+        the wall-clock profile of the cells that computed it (FAILED
+        experiments degrade to placeholder tables instead of aborting
+        the run), and
         the executor's :class:`~repro.experiments.executor.RunReport`.
     """
     from repro.experiments.executor import (
@@ -147,7 +150,7 @@ def run_all(
     prewarm = (lambda: warm_traces(sorted(suites), scale)) if suites else None
 
     executor = Executor(
-        jobs=parallel or 1,
+        jobs=parallel,
         cache=cache_dir,
         timeout=timeout,
         retries=retries,

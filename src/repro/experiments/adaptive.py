@@ -161,7 +161,7 @@ def adaptive_sweep(
     metric: str = "cycles",
     eta: int = 3,
     rungs: Optional[int] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache_dir=None,
     timeout: Optional[float] = None,
     retries: int = 1,
@@ -169,15 +169,13 @@ def adaptive_sweep(
     metrics=None,
     trace=None,
     progress=None,
-    batch: bool = False,
 ) -> AdaptiveResult:
     """Successive halving over the (config × workload) grid.
 
     Accepts the same grid and executor arguments as
     :func:`~repro.experiments.sweeps.sweep` plus the halving knobs;
-    always routes cells through the executor, so caching,
-    retries, fault tolerance, and the determinism contract apply
-    per rung.  See the module docstring for the algorithm and its
+    like it, routes cells through the executor, so caching, retries,
+    fault tolerance, and the determinism contract apply per rung.  See the module docstring for the algorithm and its
     determinism guarantees.
     """
     if metric not in METRICS:
@@ -237,7 +235,7 @@ def adaptive_sweep(
                 cells.append(config_cell(workload, index, rung_scale))
                 cellmeta.append((workload, index))
         executor = Executor(
-            jobs=jobs or 1,
+            jobs=jobs,
             cache=cache_dir,
             timeout=timeout,
             retries=retries,
@@ -245,7 +243,6 @@ def adaptive_sweep(
             metrics=metrics,
             trace=trace,
             progress=progress,
-            batch=batch,
         )
         report = executor.run(cells)
         units = len(cells) / shrink

@@ -16,8 +16,9 @@ sweep front-ends run on:
   finished cell is written immediately (atomic rename), which makes the
   cache double as the checkpoint for ``--resume``: re-invoking a killed
   run loads the finished cells and computes only the rest;
-* :class:`Executor` — runs cells inline (``jobs=1``) or on a
-  ``ProcessPoolExecutor``, with explicit per-cell RNG seeding (derived
+* :class:`Executor` — the one way experiments and sweeps run: cells
+  execute inline (``jobs=1``) or on a ``ProcessPoolExecutor``, with
+  explicit per-cell RNG seeding (derived
   from the cache key, so results are independent of execution order and
   worker assignment), a per-cell wall-clock timeout enforced inside the
   worker, bounded retries, and graceful degradation — a crashing,
@@ -27,11 +28,13 @@ sweep front-ends run on:
   :class:`~repro.experiments.results.ExperimentTable` objects,
   tolerating FAILED cells (a placeholder table carries the error).
 
-Determinism contract: serial, parallel, and warm-cache runs produce
-bit-identical ``ExperimentTable.to_json`` payloads, except that
-executor-produced tables carry an empty wall-clock ``profile`` (wall
-time is inherently nondeterministic; the executor's telemetry and
-Chrome trace report timing instead).  The contract is asserted by
+Determinism contract: inline, pool, and warm-cache runs produce
+bit-identical cell payloads.  Wall time is inherently nondeterministic,
+so it never enters a payload: an experiment's wall-clock ``profile``
+travels beside the payload in the worker outcome, is stored next to it
+in the cache record (outside the key), and is re-attached by
+:func:`assemble_experiments` — a cache hit returns the profile measured
+when the cell was computed.  The contract is asserted by
 ``tests/experiments/test_executor_ab.py``.
 
 Telemetry: pass ``metrics=``/``trace=`` sinks to publish
@@ -145,9 +148,10 @@ class ResultCache:
     """Content-addressed on-disk results, one JSON file per cell.
 
     Layout: ``<root>/<key[:2]>/<key>.json`` holding ``{"key", "cell",
-    "payload"}``.  Writes are atomic (temp file + rename) so a killed
-    run never leaves a truncated record; corrupt or mismatched records
-    read as misses.
+    "payload", "profile"}``; the wall-clock ``profile`` is informational
+    and never part of the key.  Writes are atomic (temp file + rename)
+    so a killed run never leaves a truncated record; corrupt or
+    mismatched records read as misses.
     """
 
     def __init__(self, root):
@@ -166,12 +170,19 @@ class ResultCache:
             return None
         if not isinstance(record.get("payload"), dict):
             return None
+        if not isinstance(record.get("profile"), dict):
+            record["profile"] = {}  # records written before profiles were kept
         return record
 
-    def put(self, key, cell: Cell, payload: dict) -> None:
+    def put(self, key, cell: Cell, payload: dict, profile: Optional[dict] = None) -> None:
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        record = {"key": key, "cell": cell.spec(), "payload": payload}
+        record = {
+            "key": key,
+            "cell": cell.spec(),
+            "payload": payload,
+            "profile": profile or {},
+        }
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
@@ -193,36 +204,19 @@ class ResultCache:
             return 0
         return sum(1 for _ in self.root.glob("*/*.json"))
 
-    # -- solo markers ------------------------------------------------------
-    #
-    # A cell that failed inside a multi-cell batch group is retried solo
-    # — and must *stay* solo on a future --resume, instead of re-forming
-    # the dead group around its surviving siblings.  The marker is a
-    # plain file keyed like the result itself, so it carries the same
-    # invalidation semantics (new fingerprint -> new key -> no marker).
-
-    def solo_path(self, key) -> Path:
-        return self.root / "solo" / (key + ".solo")
-
-    def mark_solo(self, key) -> None:
-        path = self.solo_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.touch()
-        except OSError:
-            pass  # advisory only: losing the marker costs a retry, not a result
-
-    def is_solo(self, key) -> bool:
-        return self.solo_path(key).exists()
-
 
 @dataclass
 class CellResult:
-    """Outcome of one cell: OK with a payload, or FAILED with an error."""
+    """Outcome of one cell: OK with a payload, or FAILED with an error.
+
+    ``profile`` is the cell's wall-clock breakdown (scope name ->
+    ``{"calls", "seconds"}``), kept out of the deterministic payload.
+    """
 
     cell: Cell
     status: str
     payload: Optional[dict] = None
+    profile: dict = field(default_factory=dict)
     error: Optional[str] = None
     attempts: int = 0
     cached: bool = False
@@ -311,21 +305,16 @@ def default_run_cell(spec: dict) -> dict:
     """Execute one cell spec and return its JSON payload.
 
     ``experiment`` cells run an :data:`~repro.experiments.ALL_EXPERIMENTS`
-    runner and return ``ExperimentTable.to_json()`` with the wall-clock
-    profile cleared (wall time is nondeterministic; clearing it is what
-    makes serial == parallel == cached bit-identical).  ``sweep`` cells
-    run one (workload, config, policy) simulation.
+    runner and return ``ExperimentTable.to_json()``, wall-clock profile
+    included (:func:`_worker` moves it out of the payload).  ``sweep``
+    cells run one (workload, config, policy) simulation.
     """
     kind = spec["kind"]
     params = {k: v for k, v in spec.get("params", [])}
     if kind == "experiment":
         from repro.experiments import ALL_EXPERIMENTS
 
-        runner = ALL_EXPERIMENTS[spec["name"]]
-        table = runner(**params)
-        payload = table.to_json()
-        payload["profile"] = {}
-        return payload
+        return ALL_EXPERIMENTS[spec["name"]](**params).to_json()
     if kind == "sweep":
         return _run_sweep_cell(params)
     raise CellError("unknown cell kind %r" % (kind,))
@@ -355,11 +344,21 @@ def _seeded_call(run_cell, spec, key, timeout):
             signal.signal(signal.SIGALRM, previous)
 
 
+def _split_profile(payload):
+    """``(payload, profile)``: a payload's wall-clock ``profile`` moved
+    out of it.  Wall time is nondeterministic, so the payload keeps an
+    empty ``profile`` and stays bit-identical across runs."""
+    if isinstance(payload, dict) and isinstance(payload.get("profile"), dict):
+        return dict(payload, profile={}), payload["profile"]
+    return payload, {}
+
+
 def _worker(run_cell, spec, key, timeout) -> dict:
     """Top-level (picklable) worker: never propagates cell failures."""
     started = time.time()
+    profile: dict = {}
     try:
-        payload = _seeded_call(run_cell, spec, key, timeout)
+        payload, profile = _split_profile(_seeded_call(run_cell, spec, key, timeout))
         status, error = OK, None
     except Exception as exc:
         payload, status = None, FAILED
@@ -370,34 +369,9 @@ def _worker(run_cell, spec, key, timeout) -> dict:
         "finished": time.time(),
         "status": status,
         "payload": payload,
+        "profile": profile,
         "error": error,
     }
-
-
-def _batch_worker(run_cell, specs, keys, timeout) -> List[dict]:
-    """Run a group of cells sharing one decoded trace in one process.
-
-    Each cell is still executed through :func:`_worker` — same
-    per-cell RNG seeding (a pure function of the cell's cache key),
-    same wall-clock budget, same failure capture — so payloads are
-    bit-identical to ungrouped execution and one crashing cell never
-    takes its group down.  The batching win is locality: every cell
-    after the first finds the group's trace (and its shared index and
-    columns) already decoded in this process's memo.
-    """
-    return [_worker(run_cell, spec, key, timeout) for spec, key in zip(specs, keys)]
-
-
-def _group_key(cell: Cell):
-    """The shared-trace grouping key of a cell, or None if ungroupable.
-
-    Sweep cells over one ``(workload, scale)`` decode the same trace;
-    anything else runs alone.  Grouping is pure scheduling: cache keys
-    and payloads are byte-identical either way.
-    """
-    if cell.kind == "sweep":
-        return (cell.param("workload"), cell.param("scale"))
-    return None
 
 
 def _validated(outcome: dict) -> dict:
@@ -445,7 +419,9 @@ class Executor:
         timeout: per-cell wall-clock budget in seconds (None = none).
         retries: how many times a FAILED cell is re-attempted.
         run_cell: cell evaluator (``spec dict -> payload dict``); the
-            default dispatches on cell kind.  Injectable for tests.
+            default dispatches on cell kind.  Injectable for tests.  A
+            ``profile`` dict in a payload is wall-clock data: the worker
+            moves it beside the payload (``CellResult.profile``).
         metrics: a telemetry :class:`MetricRegistry` (default: null sink).
         trace: a telemetry :class:`TraceEventSink` (default: null sink).
         prewarm: optional callable run once in the parent before the
@@ -455,13 +431,6 @@ class Executor:
             (``start`` / ``cell`` / ``done`` dicts, see
             :mod:`repro.experiments.progress`) as cells complete; the
             default None skips all progress accounting.
-        batch: group cells that share one decoded trace (sweep cells
-            over the same ``(workload, scale)``) onto one worker, so a
-            pool decodes each trace exactly once instead of once per
-            worker that happens to draw one of its cells.  Purely a
-            scheduling change: cache keys and payloads are identical
-            to ``batch=False``, and a FAILED cell inside a group is
-            retried solo.
 
     Placement follows ``jobs`` alone: ``jobs=1`` runs the inline loop,
     ``jobs>1`` the fork process pool (both in
@@ -481,7 +450,6 @@ class Executor:
         trace=None,
         prewarm: Optional[Callable[[], None]] = None,
         progress: Optional[Callable[[dict], None]] = None,
-        batch: bool = False,
     ):
         self.jobs = max(1, int(jobs or 1))
         if cache is not None and not isinstance(cache, ResultCache):
@@ -494,7 +462,6 @@ class Executor:
         self.trace = trace if trace is not None else NULL_TRACE
         self.prewarm = prewarm
         self.progress = progress
-        self.batch = bool(batch)
         self._tracker = None
         self._warm_workloads: set = set()
         self._cells: List[Cell] = []
@@ -522,7 +489,11 @@ class Executor:
             record = self.cache.get(key) if self.cache is not None else None
             if record is not None:
                 results[index] = CellResult(
-                    cell, OK, payload=record["payload"], cached=True
+                    cell,
+                    OK,
+                    payload=record["payload"],
+                    profile=record["profile"],
+                    cached=True,
                 )
             else:
                 pending.append(index)
@@ -563,7 +534,7 @@ class Executor:
                 self.prewarm()
             self._cells, self._keys, self._results = cells, keys, results
             try:
-                retried = execute(self, self._plan(pending, cells, keys), cells, keys)
+                retried = execute(self, pending, cells, keys)
             finally:
                 self._cells, self._keys, self._results = [], [], []
 
@@ -605,33 +576,6 @@ class Executor:
                 )
             )
 
-    def _plan(self, pending, cells, keys=None) -> List[List[int]]:
-        """Pending indices -> execution groups (singletons unless
-        ``batch`` groups cells sharing one decoded trace).
-
-        Cells carrying a persistent solo marker (they failed inside a
-        group on an earlier run) are planned as singletons even under
-        ``batch``, so a resumed run does not re-form a dead group.
-        """
-        if not self.batch:
-            return [[index] for index in pending]
-        solo = set()
-        if keys is not None and self.cache is not None:
-            solo = {index for index in pending if self.cache.is_solo(keys[index])}
-        buckets: Dict[object, List[int]] = {}
-        order: List[List[int]] = []
-        for index in pending:
-            gk = None if index in solo else _group_key(cells[index])
-            if gk is None:
-                order.append([index])
-                continue
-            bucket = buckets.get(gk)
-            if bucket is None:
-                buckets[gk] = bucket = []
-                order.append(bucket)
-            bucket.append(index)
-        return order
-
     def _deliver(self, index: int, outcome: dict, attempts: int) -> CellResult:
         """Record one cell's final outcome (the loops' result channel).
 
@@ -643,15 +587,11 @@ class Executor:
         result = self._to_result(self._cells[index], outcome, attempts)
         self._results[index] = result
         if self.cache is not None and result.ok:
-            self.cache.put(self._keys[index], self._cells[index], result.payload)
+            self.cache.put(
+                self._keys[index], self._cells[index], result.payload, result.profile
+            )
         self._cell_progress(result)
         return result
-
-    def _note_group_failure(self, index: int) -> None:
-        """A cell failed inside a multi-cell group: pin it solo for
-        this run's retries *and* for any future resume."""
-        if self.cache is not None:
-            self.cache.mark_solo(self._keys[index])
 
     @staticmethod
     def _to_result(cell, outcome, attempts) -> CellResult:
@@ -659,6 +599,7 @@ class Executor:
             cell=cell,
             status=outcome["status"],
             payload=outcome["payload"],
+            profile=outcome["profile"],
             error=outcome["error"],
             attempts=attempts,
             seconds=max(0.0, outcome["finished"] - outcome["started"]),
@@ -706,7 +647,7 @@ class Executor:
 # -- experiment-level planning and assembly -------------------------------
 
 #: Experiments that decompose into finer cells (one per suite); the
-#: merge concatenates rows in cell order, which matches the serial
+#: merge concatenates rows in cell order, which matches the unsplit
 #: runner's suite iteration order, so assembly is bit-identical.
 EXPERIMENT_SPLITS: Dict[str, Tuple[str, Tuple[Tuple[str, ...], ...]]] = {
     "table1": ("suites", (("specint92",), ("specint95",), ("specfp95",))),
@@ -745,6 +686,17 @@ def merge_payloads(payloads: Sequence[dict]) -> dict:
     return base
 
 
+def merge_profiles(profiles: Iterable[dict]) -> dict:
+    """Sum wall-clock profiles per scope (``calls`` and ``seconds``)."""
+    merged: Dict[str, dict] = {}
+    for profile in profiles:
+        for name, agg in profile.items():
+            acc = merged.setdefault(name, {"calls": 0, "seconds": 0.0})
+            acc["calls"] += agg["calls"]
+            acc["seconds"] = round(acc["seconds"] + agg["seconds"], 6)
+    return merged
+
+
 def failed_table(experiment: str, failures: Sequence[CellResult]) -> ExperimentTable:
     """Placeholder table for an experiment with FAILED cells."""
     table = ExperimentTable(
@@ -764,9 +716,9 @@ def assemble_experiments(
     """Cell results -> one table per experiment id, in *keys* order.
 
     Experiments whose cells all succeeded are reconstructed (split
-    cells merged); any FAILED cell degrades that experiment to a
-    placeholder table carrying the errors — the rest of the run is
-    unaffected.
+    cells merged, their wall-clock profiles summed per scope); any
+    FAILED cell degrades that experiment to a placeholder table
+    carrying the errors — the rest of the run is unaffected.
     """
     by_name: Dict[str, List[CellResult]] = {}
     for result in report.results:
@@ -778,7 +730,9 @@ def assemble_experiments(
         if failures or not results:
             tables[key] = failed_table(key, failures)
         else:
-            tables[key] = ExperimentTable.from_json(
+            table = ExperimentTable.from_json(
                 merge_payloads([r.payload for r in results])
             )
+            table.profile = merge_profiles(r.profile for r in results)
+            tables[key] = table
     return tables

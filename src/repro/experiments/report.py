@@ -1,6 +1,7 @@
 """EXPERIMENTS.md generation: run everything, record paper-vs-measured.
 
-``write_report`` executes every experiment runner and renders a
+``write_report`` runs every experiment through the executor
+(:func:`~repro.experiments.run_all`, inline) and renders a
 markdown report that, per table/figure, states what the paper reports,
 what this reproduction measures, and whether the qualitative shape
 holds.  The repository's checked-in ``EXPERIMENTS.md`` is produced by
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, run_all
 
 #: What the paper reports, per experiment — rendered next to the
 #: reproduced numbers so the comparison is auditable.
@@ -174,9 +175,10 @@ by `tests/experiments/test_runners.py` and the benchmark harness — is
 the *shape* of every result: who wins, in which order, and where the
 crossovers sit.
 
-The report runs serially.  To regenerate individual tables faster, run
-them through the parallel executor (`repro experiment all --jobs N
---cache-dir .repro-cache`): the experiment grid fans out across N
+The report runs every experiment through the executor, inline in one
+process; each table's `profile:` line says where its wall time went.
+To regenerate tables faster, use `repro experiment all --jobs N
+--cache-dir .repro-cache`: the experiment grid fans out across N
 worker processes and finished cells are cached, so wall time drops
 roughly with the core count on a cold run and to seconds on a warm one
 (see docs/parallel.md).  The tables are bit-identical either way.
@@ -202,9 +204,15 @@ def write_report(path="EXPERIMENTS.md", scale="test", experiments=None) -> str:
     """Run all experiments and write the markdown report to *path*."""
     start = time.time()
     keys = sorted(experiments or ALL_EXPERIMENTS)
+    tables, report = run_all(scale=scale, experiments=keys)
+    if report.failed:
+        raise RuntimeError(
+            "experiment cell(s) failed: %s"
+            % "; ".join("%s: %s" % (r.cell.label, r.error) for r in report.failed)
+        )
     sections = []
     for key in keys:
-        table = ALL_EXPERIMENTS[key](scale)
+        table = tables[key]
         paper, measured = PAPER_CLAIMS.get(key, ("(not stated)", "(not stated)"))
         sections.append(
             SECTION

@@ -10,13 +10,10 @@ as an :class:`~repro.experiments.results.ExperimentTable`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.results import ExperimentTable
-from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
-from repro.telemetry import PROFILER
-from repro.workloads import get_workload
 
 
 @dataclass
@@ -43,7 +40,7 @@ class SweepResult:
     """All points of one sweep, with selection helpers.
 
     ``failed`` records (cell label, error) pairs for grid cells that
-    did not complete under the parallel executor — the surviving points
+    did not complete under the executor — the surviving points
     are still usable, and :meth:`to_table` notes the gap.
     """
 
@@ -142,7 +139,8 @@ def sweep_cells(
     scale="tiny",
     policy_overrides: Optional[Dict[str, Sequence[object]]] = None,
 ):
-    """The sweep grid as executor cells, in serial iteration order."""
+    """The sweep grid as executor cells: workload-major, then config
+    overrides, policy overrides, and policies."""
     overrides = overrides or {}
     keys = sorted(overrides)
     combos = list(itertools.product(*(overrides[k] for k in keys))) or [()]
@@ -167,24 +165,50 @@ def sweep_cells(
     return cells
 
 
-def _sweep_parallel(
-    workloads, policies, overrides, scale, jobs, cache_dir, timeout, retries,
-    metrics=None, trace=None, progress=None, batch=False, policy_overrides=None,
+def sweep(
+    workloads: Sequence[str],
+    policies: Sequence[str] = ("always", "esync", "psync"),
+    overrides: Optional[Dict[str, Sequence[object]]] = None,
+    scale="tiny",
+    jobs: int = 1,
+    cache_dir=None,
+    timeout: Optional[float] = None,
+    retries: int = 1,
+    metrics=None,
+    trace=None,
+    progress=None,
+    policy_overrides: Optional[Dict[str, Sequence[object]]] = None,
 ) -> SweepResult:
+    """Run the full cross product and return a :class:`SweepResult`.
+
+    *overrides* maps :class:`~repro.multiscalar.MultiscalarConfig` field
+    names to value lists, e.g. ``{"stages": (4, 8), "squash_penalty":
+    (2, 4, 8)}``; *policy_overrides* maps
+    :func:`~repro.multiscalar.make_policy` keyword arguments to value
+    lists (e.g. ``{"capacity": (16, 64)}`` for the MDPT size), crossed
+    into the grid the same way.
+
+    The grid (:func:`sweep_cells`, one cell per workload x config x
+    policy point) runs through the executor
+    (:mod:`repro.experiments.executor`): inline for ``jobs=1``, on a
+    pool of *jobs* processes otherwise, with content-addressed caching
+    under *cache_dir*, per-cell retry/timeout, and FAILED cells
+    recorded on ``result.failed`` instead of aborting.  Results are
+    bit-identical for every ``jobs``.
+    """
     from repro.experiments.executor import Executor
 
     cells = sweep_cells(
         workloads, policies, overrides, scale, policy_overrides=policy_overrides
     )
     executor = Executor(
-        jobs=jobs or 1,
+        jobs=jobs,
         cache=cache_dir,
         timeout=timeout,
         retries=retries,
         metrics=metrics,
         trace=trace,
         progress=progress,
-        batch=batch,
     )
     report = executor.run(cells)
     result = SweepResult()
@@ -196,93 +220,4 @@ def _sweep_parallel(
             continue
         result.points.append(point_from_payload(cell_result.payload))
     result.report = report  # type: ignore[attr-defined]
-    return result
-
-
-def sweep(
-    workloads: Sequence[str],
-    policies: Sequence[str] = ("always", "esync", "psync"),
-    overrides: Optional[Dict[str, Sequence[object]]] = None,
-    scale="tiny",
-    base_config: Optional[MultiscalarConfig] = None,
-    traces=None,
-    jobs: Optional[int] = None,
-    cache_dir=None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    metrics=None,
-    trace=None,
-    progress=None,
-    batch: bool = False,
-    policy_overrides: Optional[Dict[str, Sequence[object]]] = None,
-) -> SweepResult:
-    """Run the full cross product and return a :class:`SweepResult`.
-
-    *overrides* maps :class:`MultiscalarConfig` field names to value
-    lists, e.g. ``{"stages": (4, 8), "squash_penalty": (2, 4, 8)}``;
-    *policy_overrides* maps :func:`~repro.multiscalar.make_policy`
-    keyword arguments to value lists (e.g. ``{"capacity": (16, 64)}``
-    for the MDPT size), crossed into the grid the same way.
-    Pass *traces* (name -> Trace) to reuse interpreted traces.
-
-    Pass ``jobs`` and/or ``cache_dir`` to route the grid through the
-    parallel executor (:mod:`repro.experiments.executor`): one cell per
-    (workload, config, policy) point, content-addressed caching,
-    per-cell retry/timeout, and FAILED cells recorded on
-    ``result.failed`` instead of aborting.  The executor path supports
-    the default base configuration plus scalar ``overrides`` only (cell
-    specs must be JSON-serializable); results are bit-identical to the
-    serial path.  ``batch=True`` additionally groups cells that share
-    one decoded trace onto one worker so the trace is decoded and
-    indexed once per group — a pure scheduling change, results and
-    cache keys are unchanged.
-    """
-    if jobs is not None or cache_dir is not None:
-        if base_config is not None or traces is not None:
-            raise ValueError(
-                "parallel sweep supports the default base config only "
-                "(cell specs must be JSON-serializable); drop base_config/traces "
-                "or run serially"
-            )
-        return _sweep_parallel(
-            workloads, policies, overrides, scale, jobs, cache_dir,
-            timeout, retries, metrics=metrics, trace=trace, progress=progress,
-            batch=batch, policy_overrides=policy_overrides,
-        )
-    overrides = overrides or {}
-    base = base_config or MultiscalarConfig()
-    traces = dict(traces or {})
-    for name in workloads:
-        if name not in traces:
-            with PROFILER.scope("trace-gen"):
-                traces[name] = get_workload(name).trace(scale)
-
-    keys = sorted(overrides)
-    combos = list(itertools.product(*(overrides[k] for k in keys))) or [()]
-    pkeys = sorted(policy_overrides or {})
-    pcombos = list(
-        itertools.product(*((policy_overrides or {})[k] for k in pkeys))
-    ) or [()]
-    result = SweepResult()
-    for name in workloads:
-        for combo in combos:
-            config = replace(base, **dict(zip(keys, combo)))
-            for pcombo in pcombos:
-                for policy_name in policies:
-                    sim = MultiscalarSimulator(
-                        traces[name], config, make_policy(policy_name, **dict(zip(pkeys, pcombo)))
-                    )
-                    with PROFILER.scope("simulate"):
-                        stats = sim.run()
-                    result.points.append(
-                        SweepPoint(
-                            workload=name,
-                            policy=policy_name,
-                            overrides=tuple(zip(keys, combo)),
-                            cycles=stats.cycles,
-                            ipc=stats.ipc,
-                            mis_speculations=stats.mis_speculations,
-                            policy_overrides=tuple(zip(pkeys, pcombo)),
-                        )
-                    )
     return result

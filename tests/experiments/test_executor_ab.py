@@ -1,11 +1,13 @@
-"""Determinism A/B contract: serial == parallel == warm-cache.
+"""Determinism A/B contract: direct runner == inline == pool == warm-cache.
 
-Extends the PR-2 telemetry A/B pattern to the executor: fanning cells
-out to worker processes, or serving them from the content-addressed
-cache, must not change one bit of any experiment's JSON payload.  The
-one sanctioned difference is the wall-clock ``profile`` (inherently
-nondeterministic), which executor-produced tables carry empty — the
-serial reference is normalized the same way before comparison.
+Extends the telemetry A/B pattern to the executor: running cells
+inline, fanning them out to worker processes, or serving them from the
+content-addressed cache must not change one bit of any experiment's
+JSON payload.  The one sanctioned difference is the wall-clock
+``profile`` (inherently nondeterministic), which every comparison
+clears — while every executor path must still carry one.  The
+references are computed without the executor: the experiment runners
+called directly, and a plain ``MultiscalarSimulator`` loop for sweeps.
 
 Representative experiments: ``table1`` (split into per-suite cells, so
 the merge path is under test), ``table3`` (oracle window analysis), and
@@ -13,9 +15,12 @@ the merge path is under test), ``table3`` (oracle window analysis), and
 """
 
 import json
+from dataclasses import replace
 
 from repro.experiments import ALL_EXPERIMENTS, run_all
-from repro.experiments.sweeps import sweep
+from repro.experiments.sweeps import SweepPoint, sweep
+from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
+from repro.workloads import get_workload
 
 EXPERIMENTS = ("table1", "table3", "table6")
 SCALE = "tiny"
@@ -39,17 +44,28 @@ def serial_reference():
     return _serial_reference
 
 
+def assert_profiled(tables):
+    """Every executor-made table says where its wall time went."""
+    for key in EXPERIMENTS:
+        profile = tables[key].profile
+        assert profile["experiment:%s" % key]["seconds"] >= 0
+    # table1 is split into one cell per suite: the profiles are summed
+    assert tables["table1"].profile["experiment:table1"]["calls"] == 3
+
+
 def test_parallel_four_jobs_is_bit_identical_to_serial():
     tables, report = run_all(parallel=4, scale=SCALE, experiments=EXPERIMENTS)
     assert not report.failed
     assert report.jobs == 4
     assert {k: canonical(tables[k]) for k in EXPERIMENTS} == serial_reference()
+    assert_profiled(tables)
 
 
 def test_executor_inline_is_bit_identical_to_serial():
     tables, report = run_all(parallel=1, scale=SCALE, experiments=EXPERIMENTS)
     assert not report.failed
     assert {k: canonical(tables[k]) for k in EXPERIMENTS} == serial_reference()
+    assert_profiled(tables)
 
 
 def test_warm_cache_is_bit_identical_to_serial(tmp_path):
@@ -68,17 +84,37 @@ def test_warm_cache_is_bit_identical_to_serial(tmp_path):
     reference = serial_reference()
     assert {k: canonical(cold_tables[k]) for k in EXPERIMENTS} == reference
     assert {k: canonical(warm_tables[k]) for k in EXPERIMENTS} == reference
+    # a cache hit returns the profile measured when the cell was computed
+    assert {k: warm_tables[k].profile for k in EXPERIMENTS} == {
+        k: cold_tables[k].profile for k in EXPERIMENTS
+    }
+    assert_profiled(warm_tables)
 
 
 def test_sweep_parallel_is_bit_identical_to_serial():
-    grid = dict(
-        policies=("always", "esync"),
-        overrides={"stages": (2, 4)},
-        scale=SCALE,
-    )
-    serial = sweep(["sc", "xlisp"], **grid)
-    parallel = sweep(["sc", "xlisp"], jobs=4, **grid)
-    assert json.dumps(parallel.to_table().to_json(), sort_keys=True) == json.dumps(
-        serial.to_table().to_json(), sort_keys=True
-    )
-    assert not parallel.failed
+    workloads = ("sc", "xlisp")
+    policies = ("always", "esync")
+    stages = (2, 4)
+    reference = []
+    for name in workloads:
+        trace = get_workload(name).trace(SCALE)
+        for n in stages:
+            config = replace(MultiscalarConfig(), stages=n)
+            for policy in policies:
+                stats = MultiscalarSimulator(trace, config, make_policy(policy)).run()
+                reference.append(
+                    SweepPoint(
+                        workload=name,
+                        policy=policy,
+                        overrides=(("stages", n),),
+                        cycles=stats.cycles,
+                        ipc=stats.ipc,
+                        mis_speculations=stats.mis_speculations,
+                    )
+                )
+    grid = dict(policies=policies, overrides={"stages": stages}, scale=SCALE)
+    inline = sweep(workloads, **grid)
+    parallel = sweep(workloads, jobs=4, **grid)
+    assert not inline.failed and not parallel.failed
+    assert inline.points == reference
+    assert parallel.points == reference

@@ -3,18 +3,16 @@
 import pytest
 
 from repro.experiments import sweep
-from repro.multiscalar import MultiscalarConfig
+from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
 from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    traces = {"micro-recurrence-d1": get_workload("micro-recurrence-d1").trace("tiny")}
     return sweep(
         ["micro-recurrence-d1"],
         policies=("always", "psync"),
         overrides={"stages": (2, 4), "squash_penalty": (2, 8)},
-        traces=traces,
     )
 
 
@@ -68,11 +66,22 @@ def test_to_table_renders(small_sweep):
     assert "squash_penalty" in text
 
 
-def test_sweep_accepts_base_config():
+def test_sweep_overrides_configure_every_field():
+    """Single-value overrides stand in for a custom base config: the
+    point matches a direct simulation of that configuration."""
     result = sweep(
         ["micro-independent"],
         policies=("always",),
-        base_config=MultiscalarConfig(stages=2, rs_window=8),
+        overrides={"stages": (2,), "rs_window": (8,)},
         scale="tiny",
     )
-    assert len(result.points) == 1
+    (point,) = result.points
+    assert point.override("stages") == 2
+    assert point.override("rs_window") == 8
+    trace = get_workload("micro-independent").trace("tiny")
+    config = MultiscalarConfig(stages=2, rs_window=8)
+    direct = MultiscalarSimulator(trace, config, make_policy("always")).run()
+    assert (point.cycles, point.mis_speculations) == (
+        direct.cycles,
+        direct.mis_speculations,
+    )

@@ -171,10 +171,7 @@ def test_compare_json_and_merged_trace(capsys, tmp_path):
     assert len(pids) == len(POLICIES)  # one trace process per policy
 
 
-def test_experiment_json_output(capsys, monkeypatch):
-    # the legacy serial path attaches the wall-clock profile; pin it
-    # even when the environment opts into the parallel executor
-    monkeypatch.delenv("REPRO_EXECUTOR_JOBS", raising=False)
+def test_experiment_json_output(capsys):
     assert main(["experiment", "table2", "--json"]) == 0
     (payload,) = json.loads(capsys.readouterr().out)
     assert payload["experiment"] == "table2"
@@ -183,8 +180,7 @@ def test_experiment_json_output(capsys, monkeypatch):
     assert "experiment:table2" in payload["profile"]
 
 
-def test_experiment_profile_exports(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_EXECUTOR_JOBS", raising=False)
+def test_experiment_profile_exports(capsys, tmp_path):
     metrics_path = tmp_path / "m.json"
     trace_path = tmp_path / "t.json"
     assert main([
@@ -468,13 +464,14 @@ def test_leakcheck_usage_errors(capsys):
 
 
 def test_experiment_jobs_flag(capsys):
-    """--jobs routes through the executor; tables carry no wall-clock
-    profile (the determinism contract) but are otherwise identical."""
+    """Tables made on the process pool keep the wall-clock profile
+    their worker measured."""
     assert main(["experiment", "table2", "--jobs", "2", "--json"]) == 0
     (payload,) = json.loads(capsys.readouterr().out)
     assert payload["experiment"] == "table2"
     assert payload["rows"]
-    assert payload["profile"] == {}
+    assert payload["profile"]
+    assert "experiment:table2" in payload["profile"]
 
 
 def test_experiment_cache_end_to_end(capsys, tmp_path):
@@ -544,6 +541,50 @@ def test_sweep_command_parallel_matches_serial(capsys):
     assert parallel == serial
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "table3", "--scale", "bogus"],
+        ["experiment", "table3", "--scale", "bogus", "--jobs", "1"],
+        ["experiment", "table3", "--scale", "tiny", "--timeout", "-1"],
+        ["experiment", "table3", "--scale", "tiny", "--timeout", "0"],
+        ["sweep", "sc", "--scale", "bogus"],
+        ["sweep", "sc", "--scale", "tiny", "--timeout", "-1"],
+        ["sweep", "sc", "--scale", "tiny", "--policies", "nope"],
+        ["sweep", "sc", "--scale", "tiny", "--policies", "always,nope"],
+        ["sweep", "sc", "--scale", "tiny", "--override", "bogus=1"],
+        ["sweep", "sc", "--scale", "tiny", "--adaptive", "--policies", "nope"],
+    ],
+    ids=[
+        "experiment-scale",
+        "experiment-scale-jobs",
+        "experiment-timeout-negative",
+        "experiment-timeout-zero",
+        "sweep-scale",
+        "sweep-timeout",
+        "sweep-policy",
+        "sweep-policy-in-list",
+        "sweep-override-field",
+        "sweep-adaptive-policy",
+    ],
+)
+def test_bad_run_input_exits_two_before_any_cell(capsys, monkeypatch, argv):
+    """Bad scales, timeouts, policy names and override fields are
+    refused up front: exit 2 with one ``error:`` line, no cell run."""
+    from repro.experiments.executor import Executor
+
+    def no_run(self, cells):
+        raise AssertionError("a cell ran despite the bad input")
+
+    monkeypatch.setattr(Executor, "run", no_run)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+
+
 def test_sweep_unknown_workload_exits_two(capsys):
     assert main(["sweep", "no-such-workload"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -604,12 +645,13 @@ def test_sweep_adaptive_bad_metric_exits_two(capsys):
         ["sweep", "sc", "--backend", "local"],
         ["worker", "some-dir"],
         ["experiment", "table1", "--batch"],
+        ["sweep", "sc", "--batch"],
     ],
-    ids=["backend-flag", "worker-command", "experiment-batch"],
+    ids=["backend-flag", "worker-command", "experiment-batch", "sweep-batch"],
 )
 def test_removed_executor_surface_exits_two(capsys, argv):
-    """Placement follows --jobs alone; the removed flags and commands
-    (and --batch, which only groups sweep cells) are argparse errors."""
+    """Placement follows --jobs alone and every cell is its own unit of
+    work; the removed flags and commands are argparse errors."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -893,6 +935,45 @@ def test_sweep_watch_parity(capsys, tmp_path):
     events = [json.loads(line) for line in progress_json.read_text().splitlines()]
     assert [e["event"] for e in events] == ["start"] + ["cell"] * 4 + ["done"]
     assert events[-1]["failed"] == 0
+
+
+OBSERVATION_FLAGS = {
+    "watch": ["--watch"],
+    "progress-json": ["--progress-json", "{tmp}/progress.jsonl"],
+    "cache-dir": ["--cache-dir", "{tmp}/cache"],
+    "timeout": ["--timeout", "600"],
+    "ledger": ["--ledger", "{tmp}/runs.jsonl"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(OBSERVATION_FLAGS))
+def test_observation_does_not_change_which_code_runs(capsys, monkeypatch, tmp_path, flag):
+    """With or without an observation flag, `repro experiment` enters
+    Executor.run and prints the same table (profile aside); the ledger
+    records where the wall time went."""
+    from repro.experiments.executor import Executor
+
+    entered = []
+    real_run = Executor.run
+
+    def spy(self, cells):
+        entered.append(self)
+        return real_run(self, cells)
+
+    monkeypatch.setattr(Executor, "run", spy)
+    base = ["experiment", "table3", "--scale", "tiny", "--json"]
+    assert main(base) == 0
+    (reference,) = json.loads(capsys.readouterr().out)
+    extra = [arg.format(tmp=tmp_path) for arg in OBSERVATION_FLAGS[flag]]
+    assert main(base + extra) == 0
+    (observed,) = json.loads(capsys.readouterr().out)
+    assert len(entered) == 2
+    assert reference["profile"] and observed["profile"]
+    reference["profile"] = observed["profile"] = {}
+    assert observed == reference
+    if flag == "ledger":
+        record = json.loads((tmp_path / "runs.jsonl").read_text().splitlines()[0])
+        assert "experiment:table3" in record["phases"]
 
 
 def test_experiment_watch_routes_to_executor(capsys):
