@@ -30,6 +30,6 @@ Quick start::
     print(stats.summary())
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = ["__version__"]

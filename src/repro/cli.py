@@ -58,7 +58,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 from repro.core.stats import speedup
 from repro.experiments import ALL_EXPERIMENTS, run_all
@@ -1662,6 +1662,32 @@ def _adaptive_of(results) -> Optional[dict]:
 ADAPTIVE_SAVINGS_FLOOR = 0.60
 
 
+def _dedup_of(results) -> Any:
+    """The simulation-cell dedup record inside a benchmark results list."""
+    for record in results or []:
+        if isinstance(record, dict) and "dedup" in record:
+            return record["dedup"]
+    return None
+
+
+def _dedup_counts(record) -> Optional[Tuple[int, int, int]]:
+    """``(uses, distinct, runs)`` of a well-formed dedup record, else None."""
+    if not isinstance(record, dict) or not isinstance(record.get("tables_match"), bool):
+        return None
+    counts = tuple(record.get(name) for name in ("uses", "distinct", "runs"))
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in counts):
+        return None
+    uses, distinct, runs = counts
+    if uses == 0 or distinct > uses:
+        return None
+    return uses, distinct, runs
+
+
+#: minimum fraction of simulation-cell uses that run_all must save on
+#: figures 5 and 6 plus Table 9 (100 uses, 60 distinct cells)
+DEDUP_SAVINGS_FLOOR = 0.40
+
+
 #: gated hot-path legs: seed-referenced warm/cold runs, then the batched
 #: kernel over the per-cycle reference scan (stateless grid, SYNC, ESYNC)
 HOTPATH_LEGS = ("warm", "cold", "batched", "sync", "esync")
@@ -1747,6 +1773,36 @@ def cmd_bench_report(args) -> int:
                 }
             )
 
+    dedup = _dedup_of(latest_results)
+    if dedup is not None:
+        counts = _dedup_counts(dedup)
+        if counts is None:
+            print(
+                "error: malformed dedup record (need int uses/distinct/runs "
+                "with 0 < uses >= distinct, and bool tables_match): %r" % (dedup,),
+                file=sys.stderr,
+            )
+            return 2
+        uses, distinct, runs = counts
+        dedup = dict(dedup, savings=round(1.0 - runs / uses, 4))
+        if dedup["savings"] < DEDUP_SAVINGS_FLOOR:
+            regressions.append(
+                {
+                    "leg": "dedup-savings",
+                    "measured": dedup["savings"],
+                    "baseline": DEDUP_SAVINGS_FLOOR,
+                    "floor": DEDUP_SAVINGS_FLOOR,
+                }
+            )
+        if runs != distinct:
+            regressions.append(
+                {"leg": "dedup-runs", "measured": runs, "baseline": distinct, "floor": distinct}
+            )
+        if not dedup["tables_match"]:
+            regressions.append(
+                {"leg": "dedup-tables", "measured": False, "baseline": True, "floor": True}
+            )
+
     trajectory = []
     for entry in history:
         point = {
@@ -1780,6 +1836,7 @@ def cmd_bench_report(args) -> int:
                     "tolerance": tolerance,
                     "drift": drifts,
                     "adaptive": adaptive,
+                    "dedup": dedup,
                     "regressions": regressions,
                 },
                 indent=2,
@@ -1816,7 +1873,7 @@ def cmd_bench_report(args) -> int:
             )
     else:
         print("no benchmark history at %s" % args.history)
-    if hotpath is None and adaptive is None:
+    if hotpath is None and adaptive is None and dedup is None:
         print("no hot-path record in the latest results; regression check skipped")
         return 0
     if hotpath is not None:
@@ -1860,6 +1917,21 @@ def cmd_bench_report(args) -> int:
                 "matches exhaustive"
                 if adaptive.get("top1_match")
                 else "DIVERGES from exhaustive",
+            )
+        )
+    if dedup is not None:
+        print(
+            "simulation cells: %d runs for %d uses (%.1f%% saved, floor %.0f%%), "
+            "%d distinct cells, tables %s"
+            % (
+                dedup["runs"],
+                dedup["uses"],
+                100.0 * dedup["savings"],
+                100.0 * DEDUP_SAVINGS_FLOOR,
+                dedup["distinct"],
+                "match the direct runners"
+                if dedup["tables_match"]
+                else "DIFFER from the direct runners",
             )
         )
     if regressions:

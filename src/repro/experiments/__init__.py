@@ -7,6 +7,7 @@ from repro.experiments.figures import (
     figure7_spec95_speedups,
 )
 from repro.experiments.results import ExperimentTable
+from repro.experiments.simcells import SimExperiment
 from repro.experiments.slicewarm import slice_warming
 from repro.experiments.spectaint import spectaint_leakage
 from repro.experiments.staticdep import staticdep_coverage, staticdep_symbolic
@@ -58,38 +59,46 @@ def _profiled(key, runner):
     return run
 
 
-#: experiment id -> profiled runner, for programmatic access to the
-#: whole set (executor cells, and through them the CLI, the report
-#: generator, and the benchmarks, all go through this table, so every
-#: run carries its wall-clock profile)
-ALL_EXPERIMENTS = {
-    key: _profiled(key, runner)
-    for key, runner in {
-        "table1": table1_instruction_counts,
-        "table2": table2_fu_latencies,
-        "table3": table3_window_missspec,
-        "table4": table4_static_coverage,
-        "table5": table5_ddc_missrate,
-        "table6": table6_multiscalar_missspec,
-        "table7": table7_multiscalar_ddc,
-        "table8": table8_prediction_breakdown,
-        "table9": table9_missspec_rates,
-        "figure5": figure5_policy_speedups,
-        "figure6": figure6_mechanism_speedups,
-        "figure7": figure7_spec95_speedups,
-        "window-scaling": extension_window_scaling,
-        "staticdep": staticdep_coverage,
-        "staticdep-symbolic": staticdep_symbolic,
-        "spectaint": spectaint_leakage,
-        "slice-warming": slice_warming,
-    }.items()
+#: experiment id -> runner ``(scale, **kwargs) -> ExperimentTable``
+_RUNNERS = {
+    "table1": table1_instruction_counts,
+    "table2": table2_fu_latencies,
+    "table3": table3_window_missspec,
+    "table4": table4_static_coverage,
+    "table5": table5_ddc_missrate,
+    "table6": table6_multiscalar_missspec,
+    "table7": table7_multiscalar_ddc,
+    "table8": table8_prediction_breakdown,
+    "table9": table9_missspec_rates,
+    "figure5": figure5_policy_speedups,
+    "figure6": figure6_mechanism_speedups,
+    "figure7": figure7_spec95_speedups,
+    "window-scaling": extension_window_scaling,
+    "staticdep": staticdep_coverage,
+    "staticdep-symbolic": staticdep_symbolic,
+    "spectaint": spectaint_leakage,
+    "slice-warming": slice_warming,
 }
 
-#: experiments that render configuration rather than simulate — they
-#: need no interpreted traces, so the executor skips pre-warming for
-#: them (spectaint builds its own leak programs instead of using the
-#: workload suites, so it needs no pre-warmed traces either)
-_NO_TRACE_EXPERIMENTS = frozenset({"table2", "spectaint"})
+#: experiment id -> profiled runner, for programmatic access to the
+#: whole set (executor cells, the report generator, and the benchmarks
+#: go through this table, so every run carries its wall-clock profile)
+ALL_EXPERIMENTS = {key: _profiled(key, runner) for key, runner in _RUNNERS.items()}
+
+#: the experiments made of simulation cells: ``run_all`` runs their
+#: cells (each distinct one once) and calls their builders itself
+SIM_EXPERIMENTS = {
+    key: runner for key, runner in _RUNNERS.items() if isinstance(runner, SimExperiment)
+}
+
+#: the suites whose traces an ``experiment`` cell reads, for the
+#: executor's pre-fork warming (default: SPECint92); table2 renders
+#: configuration and spectaint builds its own leak programs
+_EXPERIMENT_SUITES = {
+    "table1": ("specint92", "specint95", "specfp95"),
+    "table2": (),
+    "spectaint": (),
+}
 
 
 def run_all(
@@ -119,12 +128,19 @@ def run_all(
         progress: optional live-progress callback (see
             :mod:`repro.experiments.progress`).
 
+    The unit of work is a cell.  Each simulation experiment
+    (:data:`SIM_EXPERIMENTS`) contributes the ``(workload, config,
+    policy)`` simulation cells it reads, every other experiment one
+    ``experiment`` cell; the union is deduplicated, so a simulation
+    that several requested experiments read runs once.
+
     Returns:
         ``(tables, report)`` — a dict of experiment id ->
         :class:`ExperimentTable` in *experiments* order, each carrying
-        the wall-clock profile of the cells that computed it (FAILED
-        experiments degrade to placeholder tables instead of aborting
-        the run), and
+        the wall-clock profile of the cells that computed it (a shared
+        simulation cell counts in the profile of every table that reads
+        it; FAILED experiments degrade to placeholder tables instead of
+        aborting the run), and
         the executor's :class:`~repro.experiments.executor.RunReport`.
     """
     from repro.experiments.executor import (
@@ -133,6 +149,7 @@ def run_all(
         experiment_cells,
     )
     from repro.experiments.tables import warm_traces
+    from repro.workloads import get_workload
 
     keys = sorted(ALL_EXPERIMENTS) if experiments is None else list(experiments)
     unknown = [key for key in keys if key not in ALL_EXPERIMENTS]
@@ -142,11 +159,10 @@ def run_all(
 
     suites = set()
     for cell in cells:
-        cell_suites = cell.param("suites")
-        if cell_suites:
-            suites.update(cell_suites)
-        elif cell.name not in _NO_TRACE_EXPERIMENTS:
-            suites.add("specint92")
+        if cell.kind == "sweep":
+            suites.add(get_workload(cell.param("workload")).suite)
+        else:
+            suites.update(_EXPERIMENT_SUITES.get(cell.name, ("specint92",)))
     prewarm = (lambda: warm_traces(sorted(suites), scale)) if suites else None
 
     executor = Executor(
@@ -160,13 +176,14 @@ def run_all(
         progress=progress,
     )
     report = executor.run(cells)
-    return assemble_experiments(keys, report), report
+    return assemble_experiments(keys, report, scale), report
 
 
 __all__ = [
     "ALL_EXPERIMENTS",
     "ExperimentTable",
     "RecordingAlwaysPolicy",
+    "SIM_EXPERIMENTS",
     "SweepPoint",
     "SweepResult",
     "extension_window_scaling",

@@ -1,14 +1,15 @@
 """Parallel experiment execution: process pool, result cache, fault tolerance.
 
 The full table/figure set of the paper is embarrassingly parallel
-across ``(experiment x workload x config x policy)`` cells — exactly
-the fan-out shape of the Prophet and FSPN evaluation harnesses this
+across ``(workload x config x policy)`` simulations — exactly the
+fan-out shape of the Prophet and FSPN evaluation harnesses this
 reproduction cites.  This module is the substrate the experiment and
 sweep front-ends run on:
 
 * :class:`Cell` — one unit of work, described entirely by
   JSON-serializable data so it can cross a process boundary and be
-  hashed into a cache key;
+  hashed into a cache key.  Two cells are equal exactly when their
+  cache keys are, so a run can drop duplicate cells by equality;
 * :class:`ResultCache` — a content-addressed on-disk cache.  The key is
   the SHA-256 of the canonical cell spec plus a fingerprint of the
   package version and the workload sources, so editing a kernel or
@@ -24,15 +25,20 @@ sweep front-ends run on:
   worker, bounded retries, and graceful degradation — a crashing,
   hanging, or garbage-returning worker marks its cell FAILED in the
   report instead of killing the run;
-* assembly helpers — experiment cells are re-assembled into
-  :class:`~repro.experiments.results.ExperimentTable` objects,
-  tolerating FAILED cells (a placeholder table carries the error).
+* planning and assembly — :func:`experiment_cells` turns experiment
+  ids into the run's cell list: one ``sweep`` cell per distinct
+  ``(workload, config, policy)`` simulation the simulation experiments
+  read (see :mod:`repro.experiments.simcells`), one ``experiment`` cell
+  for each other experiment.  :func:`assemble_experiments` builds
+  :class:`~repro.experiments.results.ExperimentTable` objects from the
+  results, tolerating FAILED cells (a placeholder table carries the
+  error).
 
 Determinism contract: inline, pool, and warm-cache runs produce
 bit-identical cell payloads.  Wall time is inherently nondeterministic,
-so it never enters a payload: an experiment's wall-clock ``profile``
-travels beside the payload in the worker outcome, is stored next to it
-in the cache record (outside the key), and is re-attached by
+so it never enters a payload: a cell's wall-clock ``profile`` travels
+beside the payload in the worker outcome, is stored next to it in the
+cache record (outside the key), and is re-attached by
 :func:`assemble_experiments` — a cache hit returns the profile measured
 when the cell was computed.  The contract is asserted by
 ``tests/experiments/test_executor_ab.py``.
@@ -102,13 +108,16 @@ def source_fingerprint() -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cell:
     """One unit of work: a kind, a name, and JSON-able parameters.
 
     ``params`` is a sorted tuple of (key, value) pairs so that two
     cells built from the same keyword arguments — in any order — are
-    equal and hash to the same cache key.
+    equal and hash to the same cache key.  Equality and hashing go
+    through the canonical spec, so two cells are equal exactly when
+    their cache keys are (and cells with list-valued parameters can be
+    set members and dict keys).
     """
 
     kind: str
@@ -132,6 +141,14 @@ class Cell:
             "params": [[k, v] for k, v in self.params],
         }
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cell):
+            return NotImplemented
+        return canonical_json(self.spec()) == canonical_json(other.spec())
+
+    def __hash__(self) -> int:
+        return hash(canonical_json(self.spec()))
+
     def key(self, fingerprint: Optional[str] = None) -> str:
         """Content-addressed cache key for this cell."""
         if fingerprint is None:
@@ -141,7 +158,16 @@ class Cell:
 
     @property
     def label(self) -> str:
-        return "%s:%s" % (self.kind, self.name)
+        """A readable, per-run unique name: ``kind:name``, plus a sweep
+        cell's config and policy overrides (``sweep:sc/esync[stages=4]``)."""
+        label = "%s:%s" % (self.kind, self.name)
+        if self.kind == "sweep":
+            settings = list(self.param("overrides", [])) + list(
+                self.param("policy_overrides", [])
+            )
+            if settings:
+                label += "[%s]" % ",".join("%s=%s" % (k, v) for k, v in settings)
+        return label
 
 
 class ResultCache:
@@ -265,39 +291,49 @@ class RunReport:
 
 # -- cell execution (runs inside workers) ---------------------------------
 
-#: per-process trace memo for sweep cells; workers are long-lived, so a
-#: workload interpreted once serves every cell assigned to that worker
-_SWEEP_TRACES: Dict[Tuple[str, object], object] = {}
-
-
 def _run_sweep_cell(params: dict) -> dict:
+    """One (workload, config, policy) simulation.
+
+    The payload holds the integers every reader needs (sweep points,
+    and the figures' and tables' builders): cycles, IPC,
+    mis-speculations, committed loads, and the prediction breakdown.
+    Its ``profile`` (trace-gen and simulate wall time) is moved out of
+    the payload by :func:`_worker`.
+    """
     from dataclasses import replace
 
+    from repro.experiments.tables import load_trace
     from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
-    from repro.workloads import get_workload
+    from repro.telemetry import PROFILER
 
-    workload = params["workload"]
-    scale = params["scale"]
-    memo_key = (workload, scale)
-    if memo_key not in _SWEEP_TRACES:
-        _SWEEP_TRACES[memo_key] = get_workload(workload).trace(scale)
-    trace = _SWEEP_TRACES[memo_key]
+    mark = PROFILER.mark()
+    trace = load_trace(params["workload"], params["scale"])
     overrides = [(k, v) for k, v in params.get("overrides", [])]
     policy_overrides = [(k, v) for k, v in params.get("policy_overrides", [])]
     config = replace(MultiscalarConfig(), **dict(overrides))
     policy = make_policy(params["policy"], **dict(policy_overrides))
     sim = MultiscalarSimulator(trace, config, policy)
-    stats = sim.run()
+    with PROFILER.scope("simulate"):
+        stats = sim.run()
+    breakdown = stats.breakdown
     payload = {
-        "workload": workload,
+        "workload": params["workload"],
         "policy": params["policy"],
         "overrides": [[k, v] for k, v in overrides],
         "cycles": stats.cycles,
         "ipc": stats.ipc,
         "mis_speculations": stats.mis_speculations,
+        "committed_loads": stats.committed_loads,
+        "breakdown": {
+            "nn": breakdown.nn,
+            "ny": breakdown.ny,
+            "yn": breakdown.yn,
+            "yy": breakdown.yy,
+        },
     }
     if policy_overrides:
         payload["policy_overrides"] = [[k, v] for k, v in policy_overrides]
+    payload["profile"] = PROFILER.summary(since=mark)
     return payload
 
 
@@ -305,9 +341,9 @@ def default_run_cell(spec: dict) -> dict:
     """Execute one cell spec and return its JSON payload.
 
     ``experiment`` cells run an :data:`~repro.experiments.ALL_EXPERIMENTS`
-    runner and return ``ExperimentTable.to_json()``, wall-clock profile
-    included (:func:`_worker` moves it out of the payload).  ``sweep``
-    cells run one (workload, config, policy) simulation.
+    runner and return ``ExperimentTable.to_json()``; ``sweep`` cells run
+    one (workload, config, policy) simulation.  Both payloads include
+    their wall-clock ``profile``, which :func:`_split_profile` moves out.
     """
     kind = spec["kind"]
     params = {k: v for k, v in spec.get("params", [])}
@@ -346,10 +382,11 @@ def _seeded_call(run_cell, spec, key, timeout):
 
 def _split_profile(payload):
     """``(payload, profile)``: a payload's wall-clock ``profile`` moved
-    out of it.  Wall time is nondeterministic, so the payload keeps an
-    empty ``profile`` and stays bit-identical across runs."""
+    out of it.  Wall time is nondeterministic, so the payload loses the
+    key and stays bit-identical across runs."""
     if isinstance(payload, dict) and isinstance(payload.get("profile"), dict):
-        return dict(payload, profile={}), payload["profile"]
+        payload = dict(payload)
+        return payload, payload.pop("profile")
     return payload, {}
 
 
@@ -646,44 +683,25 @@ class Executor:
 
 # -- experiment-level planning and assembly -------------------------------
 
-#: Experiments that decompose into finer cells (one per suite); the
-#: merge concatenates rows in cell order, which matches the unsplit
-#: runner's suite iteration order, so assembly is bit-identical.
-EXPERIMENT_SPLITS: Dict[str, Tuple[str, Tuple[Tuple[str, ...], ...]]] = {
-    "table1": ("suites", (("specint92",), ("specint95",), ("specfp95",))),
-    "figure7": ("suites", (("specint95",), ("specfp95",))),
-}
-
 
 def experiment_cells(keys: Sequence[str], scale="test") -> List[Cell]:
-    """The cell list for a set of experiment ids (splits applied)."""
-    cells = []
+    """The cell list of a run over experiment ids *keys*.
+
+    A simulation experiment (:data:`~repro.experiments.SIM_EXPERIMENTS`)
+    contributes the ``sweep`` cells it reads; every other experiment is
+    one ``experiment`` cell.  Duplicates are dropped (cell equality is
+    cache-key equality), so a simulation several experiments read runs
+    once; the list keeps first-use order.
+    """
+    from repro.experiments import SIM_EXPERIMENTS
+
+    cells: List[Cell] = []
     for key in keys:
-        split = EXPERIMENT_SPLITS.get(key)
-        if split is None:
-            cells.append(Cell.make("experiment", key, scale=scale))
+        if key in SIM_EXPERIMENTS:
+            cells.extend(SIM_EXPERIMENTS[key].cells(scale))
         else:
-            param, groups = split
-            for group in groups:
-                cells.append(
-                    Cell.make("experiment", key, scale=scale, **{param: list(group)})
-                )
-    return cells
-
-
-def merge_payloads(payloads: Sequence[dict]) -> dict:
-    """Merge split-cell payloads: concatenate rows, dedupe notes."""
-    base = dict(payloads[0])
-    rows: List[list] = []
-    notes: List[str] = []
-    for payload in payloads:
-        rows.extend(payload["rows"])
-        for note in payload.get("notes", []):
-            if note not in notes:
-                notes.append(note)
-    base["rows"] = rows
-    base["notes"] = notes
-    return base
+            cells.append(Cell.make("experiment", key, scale=scale))
+    return list(dict.fromkeys(cells))
 
 
 def merge_profiles(profiles: Iterable[dict]) -> dict:
@@ -710,29 +728,64 @@ def failed_table(experiment: str, failures: Sequence[CellResult]) -> ExperimentT
     return table
 
 
+def _simulated_table(key, experiment, results: Sequence[CellResult], scale) -> ExperimentTable:
+    """Build a simulation experiment's table from its cells' results.
+
+    The profile sums the cells' trace-gen/simulate scopes, adds the
+    builder's time as ``assemble``, and rolls both up into
+    ``experiment:<key>``.  A cell several experiments read counts in
+    each of their profiles.
+    """
+    from repro.experiments.simcells import SimRuns
+
+    started = time.perf_counter()
+    table = experiment.build(SimRuns({r.cell: r.payload for r in results}, scale))
+    assembled = round(time.perf_counter() - started, 6)
+    profile = merge_profiles(r.profile for r in results)
+    simulated = sum(agg["seconds"] for agg in profile.values())
+    profile["experiment:%s" % key] = {
+        "calls": 1,
+        "seconds": round(simulated + assembled, 6),
+    }
+    profile["assemble"] = {"calls": 1, "seconds": assembled}
+    table.profile = profile
+    return table
+
+
 def assemble_experiments(
-    keys: Sequence[str], report: RunReport
+    keys: Sequence[str], report: RunReport, scale="test"
 ) -> Dict[str, ExperimentTable]:
     """Cell results -> one table per experiment id, in *keys* order.
 
-    Experiments whose cells all succeeded are reconstructed (split
-    cells merged, their wall-clock profiles summed per scope); any
-    FAILED cell degrades that experiment to a placeholder table
-    carrying the errors — the rest of the run is unaffected.
+    A simulation experiment's table is built from the results of the
+    cells :func:`experiment_cells` planned for it at *scale*; any other
+    experiment's table is the payload of its ``experiment`` cell (found
+    by name), with the cell's wall-clock profile attached.  An
+    experiment with a FAILED (or missing) cell degrades to a
+    placeholder table carrying the errors — the rest of the run is
+    unaffected.
     """
-    by_name: Dict[str, List[CellResult]] = {}
-    for result in report.results:
-        by_name.setdefault(result.cell.name, []).append(result)
+    from repro.experiments import SIM_EXPERIMENTS
+
+    by_cell = {result.cell: result for result in report.results}
+    by_name = {r.cell.name: r for r in report.results if r.cell.kind == "experiment"}
     tables = {}
     for key in keys:
-        results = by_name.get(key, [])
-        failures = [r for r in results if not r.ok]
-        if failures or not results:
-            tables[key] = failed_table(key, failures)
+        experiment = SIM_EXPERIMENTS.get(key)
+        if experiment is None:
+            results = [by_name[key]] if key in by_name else []
+            expected = 1
         else:
-            table = ExperimentTable.from_json(
-                merge_payloads([r.payload for r in results])
-            )
-            table.profile = merge_profiles(r.profile for r in results)
+            cells = list(dict.fromkeys(experiment.cells(scale)))
+            results = [by_cell[cell] for cell in cells if cell in by_cell]
+            expected = len(cells)
+        failures = [r for r in results if not r.ok]
+        if failures or len(results) < expected:
+            tables[key] = failed_table(key, failures)
+        elif experiment is not None:
+            tables[key] = _simulated_table(key, experiment, results, scale)
+        else:
+            table = ExperimentTable.from_json(results[0].payload)
+            table.profile = dict(results[0].profile)
             tables[key] = table
     return tables

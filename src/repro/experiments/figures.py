@@ -1,28 +1,28 @@
 """Runners for the paper's figures (5, 6, 7).
 
 The figures report percent speedups between speculation policies on
-Multiscalar configurations.  As with the tables, absolute numbers
-differ from the paper (synthetic workloads), but the orderings the
-paper argues from are reproduced — see each docstring.
+Multiscalar configurations.  Each runner is a
+:class:`~repro.experiments.simcells.SimExperiment`: the simulation
+cells it reads, and a builder that makes the figure from them.  As
+with the tables, absolute numbers differ from the paper (synthetic
+workloads), but the orderings the paper argues from are reproduced —
+see each docstring.
 """
 
 from __future__ import annotations
 
 from repro.core.stats import speedup
 from repro.experiments.results import ExperimentTable
-from repro.experiments.tables import SPECINT92, load_traces
-from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
-from repro.telemetry import PROFILER
+from repro.experiments.simcells import sim_cell, sim_experiment, sim_grid, suite_names
+from repro.experiments.tables import SPECINT92
 
 
-def _run(trace, stages, policy_name):
-    policy = make_policy(policy_name)
-    sim = MultiscalarSimulator(trace, MultiscalarConfig(stages=stages), policy)
-    with PROFILER.scope("simulate"):
-        return sim.run()
+def _figure5_cells(scale, stage_counts=(4, 8)):
+    return sim_grid(SPECINT92, scale, stage_counts, ("never", "always", "wait", "psync"))
 
 
-def figure5_policy_speedups(scale="test", stage_counts=(4, 8)):
+@sim_experiment(_figure5_cells)
+def figure5_policy_speedups(sims, stage_counts=(4, 8)):
     """Figure 5: ALWAYS / WAIT / PSYNC speedups relative to NEVER.
 
     Paper shape: blind speculation (ALWAYS) significantly outperforms
@@ -30,25 +30,27 @@ def figure5_policy_speedups(scale="test", stage_counts=(4, 8)):
     grows with the window (8 vs 4 stages); selective WAIT loses to
     blind speculation for compress and sc.
     """
-    traces = load_traces(SPECINT92, scale)
-    names = sorted(traces)
     table = ExperimentTable(
         "figure5",
         "policy speedups (%) over NEVER, plus NEVER IPC",
         ["stages", "benchmark", "never_ipc", "ALWAYS", "WAIT", "PSYNC"],
     )
     for stages in stage_counts:
-        for name in names:
-            base = _run(traces[name], stages, "never")
+        for name in suite_names(SPECINT92):
+            base = sims(name, stages, "never")
             row = [stages, name, round(base.ipc, 2)]
             for policy_name in ("always", "wait", "psync"):
-                stats = _run(traces[name], stages, policy_name)
-                row.append(round(speedup(base, stats), 1))
+                row.append(round(speedup(base, sims(name, stages, policy_name)), 1))
             table.add_row(*row)
     return table
 
 
-def figure6_mechanism_speedups(scale="test", stage_counts=(4, 8)):
+def _figure6_cells(scale, stage_counts=(4, 8)):
+    return sim_grid(SPECINT92, scale, stage_counts, ("always", "sync", "esync", "psync"))
+
+
+@sim_experiment(_figure6_cells)
+def figure6_mechanism_speedups(sims, stage_counts=(4, 8)):
     """Figure 6: SYNC / ESYNC / PSYNC speedups relative to ALWAYS
     (SPECint92).
 
@@ -56,25 +58,27 @@ def figure6_mechanism_speedups(scale="test", stage_counts=(4, 8)):
     underperforms on compress, whose dependences are path dependent
     (false dependence predictions).
     """
-    traces = load_traces(SPECINT92, scale)
-    names = sorted(traces)
     table = ExperimentTable(
         "figure6",
         "mechanism speedups (%) over blind speculation (ALWAYS)",
         ["stages", "benchmark", "always_ipc", "SYNC", "ESYNC", "PSYNC"],
     )
     for stages in stage_counts:
-        for name in names:
-            base = _run(traces[name], stages, "always")
+        for name in suite_names(SPECINT92):
+            base = sims(name, stages, "always")
             row = [stages, name, round(base.ipc, 2)]
             for policy_name in ("sync", "esync", "psync"):
-                stats = _run(traces[name], stages, policy_name)
-                row.append(round(speedup(base, stats), 1))
+                row.append(round(speedup(base, sims(name, stages, policy_name)), 1))
             table.add_row(*row)
     return table
 
 
-def extension_window_scaling(scale="test", stage_counts=(2, 4, 8, 16)):
+def _window_scaling_cells(scale, stage_counts=(2, 4, 8, 16)):
+    return sim_grid(SPECINT92, scale, stage_counts, ("always", "psync"))
+
+
+@sim_experiment(_window_scaling_cells)
+def extension_window_scaling(sims, stage_counts=(2, 4, 8, 16)):
     """Extension: the paper's central claim swept further.
 
     Section 2 argues that as dynamically scheduled processors establish
@@ -83,8 +87,7 @@ def extension_window_scaling(scale="test", stage_counts=(2, 4, 8, 16)):
     the PSYNC-over-ALWAYS gap per window size (it should widen
     monotonically on speculation-sensitive workloads).
     """
-    traces = load_traces(SPECINT92, scale)
-    names = sorted(traces)
+    names = suite_names(SPECINT92)
     table = ExperimentTable(
         "extension-window-scaling",
         "PSYNC speedup (%) over ALWAYS as the window grows",
@@ -94,9 +97,8 @@ def extension_window_scaling(scale="test", stage_counts=(2, 4, 8, 16)):
         row = [stages]
         gaps = []
         for name in names:
-            base = _run(traces[name], stages, "always")
-            psync = _run(traces[name], stages, "psync")
-            gap = round(speedup(base, psync), 1)
+            base = sims(name, stages, "always")
+            gap = round(speedup(base, sims(name, stages, "psync")), 1)
             row.append(gap)
             gaps.append(gap)
         row.append(round(sum(gaps) / len(gaps), 1))
@@ -104,7 +106,17 @@ def extension_window_scaling(scale="test", stage_counts=(2, 4, 8, 16)):
     return table
 
 
-def figure7_spec95_speedups(scale="test", stages=8, suites=("specint95", "specfp95")):
+def _figure7_cells(scale, stages=8, suites=("specint95", "specfp95")):
+    return [
+        sim_cell(name, stages, policy, scale)
+        for suite_name in suites
+        for name in suite_names(suite_name)
+        for policy in ("always", "esync", "psync")
+    ]
+
+
+@sim_experiment(_figure7_cells)
+def figure7_spec95_speedups(sims, stages=8, suites=("specint95", "specfp95")):
     """Figure 7: ESYNC and PSYNC speedups over ALWAYS for the SPEC95
     suites on an 8-stage Multiscalar, plus the ESYNC IPC.
 
@@ -113,10 +125,6 @@ def figure7_spec95_speedups(scale="test", stages=8, suites=("specint95", "specfp
     (swim, mgrid, turb3d) gain nothing; su2cor and fpppp fall well
     short of the ideal because their dependence working sets exceed
     the prediction structures.
-
-    *suites* restricts the run to a subset — the parallel executor
-    splits this figure into one cell per suite and concatenates the
-    rows back in suite order.
     """
     table = ExperimentTable(
         "figure7",
@@ -124,11 +132,10 @@ def figure7_spec95_speedups(scale="test", stages=8, suites=("specint95", "specfp
         ["benchmark", "suite", "esync_ipc", "ESYNC", "PSYNC"],
     )
     for suite_name in suites:
-        traces = load_traces(suite_name, scale)
-        for name in sorted(traces):
-            base = _run(traces[name], stages, "always")
-            esync = _run(traces[name], stages, "esync")
-            psync = _run(traces[name], stages, "psync")
+        for name in suite_names(suite_name):
+            base = sims(name, stages, "always")
+            esync = sims(name, stages, "esync")
+            psync = sims(name, stages, "psync")
             table.add_row(
                 name,
                 suite_name,

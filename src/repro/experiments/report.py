@@ -177,11 +177,15 @@ crossovers sit.
 
 The report runs every experiment through the executor, inline in one
 process; each table's `profile:` line says where its wall time went.
+The simulation tables (figures 5-7, tables 6, 8 and 9, window-scaling)
+are built from one cell per `(workload, stages, policy)` simulation,
+and a simulation that several tables read runs once but counts in the
+profile of each of them.
 To regenerate tables faster, use `repro experiment all --jobs N
---cache-dir .repro-cache`: the experiment grid fans out across N
-worker processes and finished cells are cached, so wall time drops
-roughly with the core count on a cold run and to seconds on a warm one
-(see docs/parallel.md).  The tables are bit-identical either way.
+--cache-dir .repro-cache`: the cells fan out across N worker processes
+and finished cells are cached, so wall time drops roughly with the
+core count on a cold run and to seconds on a warm one (see
+docs/parallel.md).  The tables are bit-identical either way.
 
 Scale: `%(scale)s`.  Generated in %(elapsed).0f s.
 """

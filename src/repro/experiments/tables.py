@@ -3,7 +3,11 @@
 Each function regenerates one table over the synthetic workload suites.
 Absolute values differ from the paper (the substrate is synthetic — see
 DESIGN.md), but each runner's docstring states the *shape* the paper
-reports, which the test suite asserts.
+reports, which the test suite asserts.  Tables 6, 8 and 9 read only
+per-run statistics, so they are
+:class:`~repro.experiments.simcells.SimExperiment` runners over
+simulation cells; Table 7 needs each run's violation event stream and
+simulates itself.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.experiments.results import ExperimentTable
-from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
+from repro.experiments.simcells import sim_cell, sim_experiment, sim_grid, suite_names
+from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator
 from repro.multiscalar.policies import AlwaysPolicy
 from repro.oracle import (
     PAPER_DDC_SIZES_MULTISCALAR,
@@ -21,24 +26,28 @@ from repro.oracle import (
     simulate_ddc_sizes,
 )
 from repro.telemetry import PROFILER
-from repro.workloads import suite
+from repro.workloads import get_workload, suite
 
 #: The benchmark suite of the paper's Tables 3-9 experiments.
 SPECINT92 = "specint92"
 
+#: this process's traces per (workload name, scale): the one memo every
+#: runner and every simulation cell reads through
 _trace_cache: Dict[Tuple[str, object], object] = {}
 
 
+def load_trace(name, scale="test"):
+    """One workload's trace, interpreted (or decoded) once per process."""
+    key = (name, scale)
+    if key not in _trace_cache:
+        with PROFILER.scope("trace-gen"):
+            _trace_cache[key] = get_workload(name).trace(scale)
+    return _trace_cache[key]
+
+
 def load_traces(suite_name=SPECINT92, scale="test"):
-    """Interpret a suite once and cache the traces per (name, scale)."""
-    traces = {}
-    for workload in suite(suite_name):
-        key = (workload.name, scale)
-        if key not in _trace_cache:
-            with PROFILER.scope("trace-gen"):
-                _trace_cache[key] = workload.trace(scale)
-        traces[workload.name] = _trace_cache[key]
-    return traces
+    """A suite's traces by workload name, through :func:`load_trace`."""
+    return {workload.name: load_trace(workload.name, scale) for workload in suite(suite_name)}
 
 
 def warm_traces(suite_names=("specint92", "specint95", "specfp95"), scale="test"):
@@ -47,7 +56,8 @@ def warm_traces(suite_names=("specint92", "specint95", "specfp95"), scale="test"
     The parallel executor calls this in the parent before forking its
     worker pool: the interpreted traces are inherited copy-on-write, so
     each workload is interpreted once per run instead of once per
-    worker.
+    worker, and the simulation cells the workers run find them in the
+    :func:`load_trace` memo.
     """
     for suite_name in suite_names:
         load_traces(suite_name, scale)
@@ -168,20 +178,16 @@ def table5_ddc_missrate(scale="test", window_sizes=(128, 256, 512), ddc_sizes=PA
     return table
 
 
-def _simulate_with_violations(trace, stages):
-    policy = RecordingAlwaysPolicy()
-    sim = MultiscalarSimulator(trace, MultiscalarConfig(stages=stages), policy)
-    with PROFILER.scope("simulate"):
-        stats = sim.run()
-    return stats, policy.events
+def _table6_cells(scale, stage_counts=(4, 8)):
+    return sim_grid(SPECINT92, scale, stage_counts, ("always",))
 
 
-def table6_multiscalar_missspec(scale="test", stage_counts=(4, 8)):
+@sim_experiment(_table6_cells)
+def table6_multiscalar_missspec(sims, stage_counts=(4, 8)):
     """Table 6: Multiscalar model — mis-speculations under blind
     speculation.  Paper shape: more mis-speculations at 8 stages than 4
     (a larger window exposes more dependences)."""
-    traces = load_traces(SPECINT92, scale)
-    names = sorted(traces)
+    names = suite_names(SPECINT92)
     table = ExperimentTable(
         "table6",
         "Multiscalar model: mis-speculations under blind speculation",
@@ -190,8 +196,7 @@ def table6_multiscalar_missspec(scale="test", stage_counts=(4, 8)):
     for stages in stage_counts:
         row = [stages]
         for name in names:
-            stats, _ = _simulate_with_violations(traces[name], stages)
-            row.append(stats.mis_speculations)
+            row.append(sims(name, stages, "always").mis_speculations)
         table.add_row(*row)
     return table
 
@@ -209,8 +214,11 @@ def table7_multiscalar_ddc(scale="test", stages=8, ddc_sizes=PAPER_DDC_SIZES_MUL
     )
     event_streams = {}
     for name in names:
-        _, events = _simulate_with_violations(traces[name], stages)
-        event_streams[name] = events
+        policy = RecordingAlwaysPolicy()
+        sim = MultiscalarSimulator(traces[name], MultiscalarConfig(stages=stages), policy)
+        with PROFILER.scope("simulate"):
+            sim.run()
+        event_streams[name] = policy.events
     for cs in ddc_sizes:
         row = [cs]
         for name in names:
@@ -223,29 +231,31 @@ def table7_multiscalar_ddc(scale="test", stages=8, ddc_sizes=PAPER_DDC_SIZES_MUL
     return table
 
 
-def table8_prediction_breakdown(scale="test", stages=4, predictors=("sync", "esync")):
+def _table8_cells(scale, stages=4, predictors=("sync", "esync")):
+    return [
+        sim_cell(name, stages, predictor, scale)
+        for predictor in predictors
+        for name in suite_names(SPECINT92)
+    ]
+
+
+@sim_experiment(_table8_cells)
+def table8_prediction_breakdown(sims, stages=4, predictors=("sync", "esync")):
     """Table 8: dependence-prediction breakdown (percent of dynamic
     predictions in each predicted/actual bucket).  Paper shape: N/N
     dominates; ESYNC converts SYNC's false dependence predictions (Y/N)
     into correct no-dependence predictions for path-dependent programs
     (compress)."""
-    traces = load_traces(SPECINT92, scale)
-    names = sorted(traces)
+    names = suite_names(SPECINT92)
     table = ExperimentTable(
         "table8",
         "%d-stage Multiscalar: dependence prediction breakdown (%%)" % stages,
         ["predictor", "P/A"] + names,
     )
     for predictor in predictors:
-        breakdowns = {}
-        for name in names:
-            policy = make_policy(predictor)
-            sim = MultiscalarSimulator(
-                traces[name], MultiscalarConfig(stages=stages), policy
-            )
-            with PROFILER.scope("simulate"):
-                stats = sim.run()
-            breakdowns[name] = stats.breakdown.percentages()
+        breakdowns = {
+            name: sims(name, stages, predictor).breakdown.percentages() for name in names
+        }
         for bucket, label in (("nn", "N/N"), ("ny", "N/Y"), ("yn", "Y/N"), ("yy", "Y/Y")):
             row = [predictor.upper(), label]
             for name in names:
@@ -254,12 +264,16 @@ def table8_prediction_breakdown(scale="test", stages=4, predictors=("sync", "esy
     return table
 
 
-def table9_missspec_rates(scale="test", stage_counts=(4, 8), predictor="esync"):
+def _table9_cells(scale, stage_counts=(4, 8), predictor="esync"):
+    return sim_grid(SPECINT92, scale, stage_counts, ("always", predictor))
+
+
+@sim_experiment(_table9_cells)
+def table9_missspec_rates(sims, stage_counts=(4, 8), predictor="esync"):
     """Table 9: mis-speculations per committed load, blind speculation
     versus the mechanism.  Paper shape: the mechanism reduces the rate
     by roughly an order of magnitude, typically below 1%."""
-    traces = load_traces(SPECINT92, scale)
-    names = sorted(traces)
+    names = suite_names(SPECINT92)
     table = ExperimentTable(
         "table9",
         "mis-speculations per committed load: ALWAYS vs mechanism (%s)" % predictor.upper(),
@@ -269,12 +283,7 @@ def table9_missspec_rates(scale="test", stage_counts=(4, 8), predictor="esync"):
         for policy_name in ("always", predictor):
             row = [stages, policy_name.upper()]
             for name in names:
-                policy = make_policy(policy_name)
-                sim = MultiscalarSimulator(
-                    traces[name], MultiscalarConfig(stages=stages), policy
-                )
-                with PROFILER.scope("simulate"):
-                    stats = sim.run()
-                row.append(round(stats.mis_speculations_per_committed_load, 5))
+                rate = sims(name, stages, policy_name).mis_speculations_per_committed_load
+                row.append(round(rate, 5))
             table.add_row(*row)
     return table

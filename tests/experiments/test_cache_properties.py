@@ -38,6 +38,18 @@ def test_equal_specs_hash_equal(kind, name, params):
     assert a.key(fingerprint="fp") == b.key(fingerprint="fp")
 
 
+@given(name=names, a=param_dicts, b=param_dicts)
+def test_cell_equality_is_cache_key_equality(name, a, b):
+    """run_all drops duplicate cells by equality (and hashes them into
+    dicts), so equality must mean exactly "same cache key"."""
+    x = Cell.make("sweep", name, **a)
+    y = Cell.make("sweep", name, **b)
+    assert (x == y) == (x.key(fingerprint="fp") == y.key(fingerprint="fp"))
+    if x == y:
+        assert hash(x) == hash(y)
+    assert len({x, y, Cell.make("sweep", name, **a)}) == (1 if x == y else 2)
+
+
 @given(
     name=names,
     params=param_dicts,

@@ -10,7 +10,6 @@ from repro.experiments.executor import (
     ResultCache,
     assemble_experiments,
     experiment_cells,
-    merge_payloads,
     source_fingerprint,
 )
 from repro.telemetry import MetricRegistry, TraceEventSink
@@ -131,28 +130,50 @@ def test_executor_publishes_metrics_and_trace():
 # -- experiment planning and assembly --------------------------------------
 
 
-def test_experiment_cells_split_per_suite():
-    cells = experiment_cells(["table1", "table3", "figure7"], scale="tiny")
-    by_name = {}
-    for cell in cells:
-        by_name.setdefault(cell.name, []).append(cell)
-    assert len(by_name["table1"]) == 3
-    assert len(by_name["figure7"]) == 2
-    assert len(by_name["table3"]) == 1
-    assert by_name["figure7"][0].param("suites") == ["specint95"]
-    assert by_name["figure7"][1].param("suites") == ["specfp95"]
+def test_experiment_cells_dedupe_sim_cells():
+    """Simulation experiments plan their (workload, stages, policy)
+    cells; a cell two experiments read is planned once; every other
+    experiment (table1 included: no per-suite split) is one cell."""
+    from repro.experiments import SIM_EXPERIMENTS
+
+    cells = experiment_cells(["table1", "figure6", "table9", "table3"], scale="tiny")
+    assert len(cells) == len(set(cells))
+    experiments = [c for c in cells if c.kind == "experiment"]
+    assert [c.name for c in experiments] == ["table1", "table3"]
+    assert all(c.param("suites") is None for c in experiments)
+    sims = [c for c in cells if c.kind == "sweep"]
+    figure6 = SIM_EXPERIMENTS["figure6"].cells("tiny")
+    table9 = SIM_EXPERIMENTS["table9"].cells("tiny")
+    assert (len(figure6), len(table9)) == (40, 20)
+    # table9's ALWAYS/ESYNC cells at 4 and 8 stages are all figure6's
+    assert set(table9) <= set(figure6)
+    assert sims == figure6
+    assert sims[0].spec()["params"] == [
+        ["overrides", [["stages", 4]]],
+        ["policy", "always"],
+        ["scale", "tiny"],
+        ["workload", "compress"],
+    ]
 
 
-def test_merge_payloads_concatenates_rows_dedupes_notes():
-    merged = merge_payloads([
-        {"experiment": "t", "title": "x", "columns": ["a"],
-         "rows": [[1]], "notes": ["n1"], "profile": {}},
-        {"experiment": "t", "title": "x", "columns": ["a"],
-         "rows": [[2], [3]], "notes": ["n1", "n2"], "profile": {}},
-    ])
-    assert merged["rows"] == [[1], [2], [3]]
-    assert merged["notes"] == ["n1", "n2"]
-    assert list(merged) == ["experiment", "title", "columns", "rows", "notes", "profile"]
+def test_sweep_cell_labels_name_their_overrides():
+    """Cells that differ only in overrides get distinct labels; the
+    name, spec and cache key stay as before."""
+    from repro.experiments.sweeps import make_sweep_cell, sweep_cells
+
+    cells = sweep_cells(["sc"], ["esync"], {"stages": [4, 8]}, scale="tiny")
+    assert [c.label for c in cells] == [
+        "sweep:sc/esync[stages=4]",
+        "sweep:sc/esync[stages=8]",
+    ]
+    assert {c.name for c in cells} == {"sc/esync"}
+    tuned = make_sweep_cell(
+        "sc", "esync", "tiny", overrides=[("stages", 4)],
+        policy_overrides=[("capacity", 16)],
+    )
+    assert tuned.label == "sweep:sc/esync[stages=4,capacity=16]"
+    assert make_sweep_cell("sc", "esync", "tiny").label == "sweep:sc/esync"
+    assert Cell.make("experiment", "table1", scale="tiny").label == "experiment:table1"
 
 
 def boom(spec):

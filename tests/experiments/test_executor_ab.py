@@ -9,9 +9,10 @@ clears — while every executor path must still carry one.  The
 references are computed without the executor: the experiment runners
 called directly, and a plain ``MultiscalarSimulator`` loop for sweeps.
 
-Representative experiments: ``table1`` (split into per-suite cells, so
-the merge path is under test), ``table3`` (oracle window analysis), and
-``table6`` (Multiscalar timing simulation).
+Representative experiments: ``table1`` (one experiment cell over all
+three suites), ``table3`` (oracle window analysis), and ``table6``
+(built from ten Multiscalar simulation cells, so the simulation-cell
+path and its table builder are under test).
 """
 
 import json
@@ -49,8 +50,11 @@ def assert_profiled(tables):
     for key in EXPERIMENTS:
         profile = tables[key].profile
         assert profile["experiment:%s" % key]["seconds"] >= 0
-    # table1 is split into one cell per suite: the profiles are summed
-    assert tables["table1"].profile["experiment:table1"]["calls"] == 3
+    # table1 is one experiment cell: one runner call
+    assert tables["table1"].profile["experiment:table1"]["calls"] == 1
+    # table6 is built from its ten simulation cells' profiles
+    assert tables["table6"].profile["simulate"]["calls"] == 10
+    assert tables["table6"].profile["experiment:table6"]["calls"] == 1
 
 
 def test_parallel_four_jobs_is_bit_identical_to_serial():
@@ -85,9 +89,22 @@ def test_warm_cache_is_bit_identical_to_serial(tmp_path):
     assert {k: canonical(cold_tables[k]) for k in EXPERIMENTS} == reference
     assert {k: canonical(warm_tables[k]) for k in EXPERIMENTS} == reference
     # a cache hit returns the profile measured when the cell was computed
-    assert {k: warm_tables[k].profile for k in EXPERIMENTS} == {
-        k: cold_tables[k].profile for k in EXPERIMENTS
-    }
+    assert [r.profile for r in warm.results] == [r.profile for r in cold.results]
+    assert [r.profile for r in warm.results if r.cell.kind == "sweep"]
+    # table6 is rebuilt from its cached cells on every run: only its
+    # assemble time and the experiment:table6 roll-up are measured anew
+    rebuilt = ("assemble", "experiment:table6")
+
+    def cached_part(tables):
+        return {
+            k: {
+                name: agg for name, agg in tables[k].profile.items()
+                if k != "table6" or name not in rebuilt
+            }
+            for k in EXPERIMENTS
+        }
+
+    assert cached_part(warm_tables) == cached_part(cold_tables)
     assert_profiled(warm_tables)
 
 

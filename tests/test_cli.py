@@ -803,7 +803,8 @@ def test_metrics_export_bad_snapshot_exits_two(capsys, tmp_path, content):
     assert len(err.strip().splitlines()) == 1
 
 
-def _write_bench_data(tmp_path, warm=3.5, cold=3.5, adaptive=None, **kernel_legs):
+def _write_bench_data(tmp_path, warm=3.5, cold=3.5, adaptive=None, dedup=None,
+                      **kernel_legs):
     history = tmp_path / "BENCH_history.jsonl"
     results = tmp_path / "BENCH_results.json"
     hotpath = {"warm_speedup": warm, "cold_speedup": cold}
@@ -819,6 +820,12 @@ def _write_bench_data(tmp_path, warm=3.5, cold=3.5, adaptive=None, **kernel_legs
             "test": "benchmarks/test_adaptive_sweep.py::test_adaptive_sweep_savings",
             "seconds": 12.0,
             "adaptive": adaptive,
+        })
+    if dedup is not None:
+        records.append({
+            "test": "benchmarks/test_cell_dedup.py::test_cell_dedup",
+            "seconds": 11.0,
+            "dedup": dedup,
         })
     payload = {"scale": "test", "results": records}
     results.write_text(json.dumps(payload))
@@ -911,6 +918,49 @@ def test_bench_report_adaptive_top1_mismatch(capsys, tmp_path):
     assert "adaptive-top1" in capsys.readouterr().err
 
 
+DEDUP = {"uses": 100, "distinct": 60, "runs": 60, "tables_match": True}
+
+
+def test_bench_report_dedup_clean(capsys, tmp_path):
+    history, results = _write_bench_data(tmp_path, dedup=DEDUP)
+    assert main(["bench-report", "--history", history,
+                 "--results", results]) == 0
+    out = capsys.readouterr().out
+    assert "simulation cells: 60 runs for 100 uses (40.0% saved, floor 40%)" in out
+    assert "tables match the direct runners" in out
+
+
+@pytest.mark.parametrize("change, legs", [
+    ({"distinct": 61, "runs": 61}, ["dedup-savings"]),
+    ({"runs": 70}, ["dedup-savings", "dedup-runs"]),
+    ({"distinct": 50}, ["dedup-runs"]),
+    ({"tables_match": False}, ["dedup-tables"]),
+])
+def test_bench_report_dedup_gate(capsys, tmp_path, change, legs):
+    history, results = _write_bench_data(tmp_path, dedup=dict(DEDUP, **change))
+    assert main(["bench-report", "--history", history,
+                 "--results", results, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["leg"] for r in payload["regressions"]] == legs
+
+
+@pytest.mark.parametrize("dedup", [
+    "60/100",
+    {"uses": 100, "distinct": 60, "tables_match": True},
+    {"uses": 0, "distinct": 0, "runs": 0, "tables_match": True},
+    {"uses": 100, "distinct": 101, "runs": 60, "tables_match": True},
+    {"uses": 100, "distinct": 60, "runs": 60.0, "tables_match": True},
+    {"uses": 100, "distinct": 60, "runs": True, "tables_match": True},
+    {"uses": 100, "distinct": 60, "runs": 60, "tables_match": "yes"},
+])
+def test_bench_report_malformed_dedup_exits_two(capsys, tmp_path, dedup):
+    history, results = _write_bench_data(tmp_path, dedup=dedup)
+    assert main(["bench-report", "--history", history,
+                 "--results", results]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed dedup record")
+
+
 def test_bench_report_no_data_exits_two(capsys, tmp_path):
     assert main(["bench-report",
                  "--history", str(tmp_path / "none.jsonl"),
@@ -1000,4 +1050,24 @@ def test_experiment_ledger_keeps_tables_golden(capsys, tmp_path):
     assert payload == golden
     record = json.loads(open(ledger).readline())
     assert record["kind"] == "experiment"
-    assert "experiment:figure5" in record["fingerprints"]["cells"]
+    cells = record["fingerprints"]["cells"]
+    assert "sweep:compress/never[stages=4]" in cells
+    assert "sweep:xlisp/psync[stages=8]" in cells
+
+
+def test_experiment_ledger_has_one_fingerprint_per_distinct_cell(capsys, tmp_path):
+    """figure5 runs 40 distinct simulation cells (5 workloads x 2 stage
+    counts x 4 policies); the ledger keys each by its own label, so
+    the 4- and 8-stage cells of one workload and policy stay apart."""
+    from repro.experiments.executor import experiment_cells, source_fingerprint
+
+    ledger = str(tmp_path / "runs.jsonl")
+    assert main(["experiment", "figure5", "--scale", "tiny", "--ledger", ledger]) == 0
+    capsys.readouterr()
+    record = json.loads(open(ledger).readline())
+    planned = experiment_cells(["figure5"], "tiny")
+    assert len(planned) == 40
+    fingerprint = source_fingerprint()
+    assert record["fingerprints"]["cells"] == {
+        cell.label: cell.key(fingerprint) for cell in planned
+    }

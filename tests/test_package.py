@@ -19,7 +19,7 @@ SUBPACKAGES = (
 
 
 def test_version():
-    assert repro.__version__ == "1.0.0"
+    assert repro.__version__ == "1.1.0"
 
 
 @pytest.mark.parametrize("name", SUBPACKAGES)
