@@ -62,7 +62,7 @@ from typing import Any, Optional, Tuple
 
 from repro.core.stats import speedup
 from repro.experiments import ALL_EXPERIMENTS, run_all
-from repro.frontend import analyze_trace, run_program
+from repro.frontend import analyze_trace, cached_run_program
 from repro.multiscalar import (
     KERNELS,
     MultiscalarConfig,
@@ -1102,7 +1102,7 @@ def cmd_staticdep(args) -> int:
         analysis = analyze_program_symbolic(program)
     else:
         analysis = analyze_program(program)
-    result = cross_check(run_program(program), analysis)
+    result = cross_check(cached_run_program(program), analysis)
     if args.as_json:
         payload = dict(analysis.summary())
         payload.update(result.summary())
@@ -1641,33 +1641,18 @@ def _read_bench_history(path) -> list:
     return out
 
 
-def _hotpath_of(results) -> Optional[dict]:
-    """The hotpath record inside a benchmark results list, if any."""
+def _record_of(results, key) -> Any:
+    """The *key* record (``hotpath``, ``adaptive``, ``dedup``,
+    ``trace_dedup``) inside a benchmark results list, if any."""
     for record in results or []:
-        if isinstance(record, dict) and "hotpath" in record:
-            return record["hotpath"]
-    return None
-
-
-def _adaptive_of(results) -> Optional[dict]:
-    """The adaptive-sweep record inside a benchmark results list."""
-    for record in results or []:
-        if isinstance(record, dict) and "adaptive" in record:
-            return record["adaptive"]
+        if isinstance(record, dict) and key in record:
+            return record[key]
     return None
 
 
 #: minimum fraction of full-scale cell units the adaptive sweep must
 #: save vs the exhaustive grid (the PR's measured claim, gated)
 ADAPTIVE_SAVINGS_FLOOR = 0.60
-
-
-def _dedup_of(results) -> Any:
-    """The simulation-cell dedup record inside a benchmark results list."""
-    for record in results or []:
-        if isinstance(record, dict) and "dedup" in record:
-            return record["dedup"]
-    return None
 
 
 def _dedup_counts(record) -> Optional[Tuple[int, int, int]]:
@@ -1686,6 +1671,21 @@ def _dedup_counts(record) -> Optional[Tuple[int, int, int]]:
 #: minimum fraction of simulation-cell uses that run_all must save on
 #: figures 5 and 6 plus Table 9 (100 uses, 60 distinct cells)
 DEDUP_SAVINGS_FLOOR = 0.40
+
+
+def _trace_dedup_counts(record) -> Optional[Tuple[int, int, int, int]]:
+    """``(interpret_calls, distinct_programs, index_builds,
+    distinct_traces)`` of a well-formed trace-dedup record, else None."""
+    if not isinstance(record, dict) or not isinstance(record.get("tables_match"), bool):
+        return None
+    names = ("interpret_calls", "distinct_programs", "index_builds", "distinct_traces")
+    counts = tuple(record.get(name) for name in names)
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in counts):
+        return None
+    calls, programs, builds, traces = counts
+    if programs == 0 or programs > calls or traces > builds:
+        return None
+    return calls, programs, builds, traces
 
 
 #: gated hot-path legs: seed-referenced warm/cold runs, then the batched
@@ -1721,7 +1721,7 @@ def cmd_bench_report(args) -> int:
         baseline = {}
     tolerance = baseline.get("tolerance", 1.25)
 
-    hotpath = _hotpath_of(latest_results)
+    hotpath = _record_of(latest_results, "hotpath")
     regressions = []
     drifts = []
     if hotpath is not None:
@@ -1751,7 +1751,7 @@ def cmd_bench_report(args) -> int:
                     }
                 )
 
-    adaptive = _adaptive_of(latest_results)
+    adaptive = _record_of(latest_results, "adaptive")
     if adaptive is not None:
         savings = adaptive.get("savings")
         if savings is not None and savings < ADAPTIVE_SAVINGS_FLOOR:
@@ -1773,7 +1773,7 @@ def cmd_bench_report(args) -> int:
                 }
             )
 
-    dedup = _dedup_of(latest_results)
+    dedup = _record_of(latest_results, "dedup")
     if dedup is not None:
         counts = _dedup_counts(dedup)
         if counts is None:
@@ -1803,6 +1803,35 @@ def cmd_bench_report(args) -> int:
                 {"leg": "dedup-tables", "measured": False, "baseline": True, "floor": True}
             )
 
+    trace_dedup = _record_of(latest_results, "trace_dedup")
+    if trace_dedup is not None:
+        counts = _trace_dedup_counts(trace_dedup)
+        if counts is None:
+            print(
+                "error: malformed trace_dedup record (need int interpret_calls/"
+                "distinct_programs/index_builds/distinct_traces with 0 < "
+                "distinct_programs <= interpret_calls and distinct_traces <= "
+                "index_builds, and bool tables_match): %r" % (trace_dedup,),
+                file=sys.stderr,
+            )
+            return 2
+        calls, programs, builds, traces = counts
+        if calls != programs:
+            regressions.append(
+                {"leg": "trace-dedup-interpret", "measured": calls, "baseline": programs,
+                 "floor": programs}
+            )
+        if builds != traces:
+            regressions.append(
+                {"leg": "trace-dedup-index", "measured": builds, "baseline": traces,
+                 "floor": traces}
+            )
+        if not trace_dedup["tables_match"]:
+            regressions.append(
+                {"leg": "trace-dedup-tables", "measured": False, "baseline": True,
+                 "floor": True}
+            )
+
     trajectory = []
     for entry in history:
         point = {
@@ -1819,7 +1848,7 @@ def cmd_bench_report(args) -> int:
                 3,
             ),
         }
-        hp = _hotpath_of(entry.get("results"))
+        hp = _record_of(entry.get("results"), "hotpath")
         if hp is not None:
             point["warm_speedup"] = hp.get("warm_speedup")
             point["cold_speedup"] = hp.get("cold_speedup")
@@ -1837,6 +1866,7 @@ def cmd_bench_report(args) -> int:
                     "drift": drifts,
                     "adaptive": adaptive,
                     "dedup": dedup,
+                    "trace_dedup": trace_dedup,
                     "regressions": regressions,
                 },
                 indent=2,
@@ -1873,7 +1903,7 @@ def cmd_bench_report(args) -> int:
             )
     else:
         print("no benchmark history at %s" % args.history)
-    if hotpath is None and adaptive is None and dedup is None:
+    if hotpath is None and adaptive is None and dedup is None and trace_dedup is None:
         print("no hot-path record in the latest results; regression check skipped")
         return 0
     if hotpath is not None:
@@ -1934,6 +1964,27 @@ def cmd_bench_report(args) -> int:
                 else "DIFFER from the direct runners",
             )
         )
+    if trace_dedup is not None:
+        print(
+            "static experiments: %d interpretations for %d programs, %d index "
+            "builds for %d traces, tables %s"
+            % (
+                trace_dedup["interpret_calls"],
+                trace_dedup["distinct_programs"],
+                trace_dedup["index_builds"],
+                trace_dedup["distinct_traces"],
+                "match the direct runners"
+                if trace_dedup["tables_match"]
+                else "DIFFER from the direct runners",
+            )
+        )
+        build_s = trace_dedup.get("index_build_s")
+        reference_s = trace_dedup.get("reference_build_s")
+        if isinstance(build_s, (int, float)) and isinstance(reference_s, (int, float)):
+            print(
+                "index build: %.3f s eager vs %.3f s per-entry reference "
+                "(informational, not gated)" % (build_s, reference_s)
+            )
     if regressions:
         for reg in regressions:
             print(

@@ -29,7 +29,7 @@ from __future__ import annotations
 from repro.core.stats import speedup
 from repro.experiments.results import ExperimentTable
 from repro.experiments.tables import SPECINT92, load_traces
-from repro.frontend import run_program
+from repro.frontend import cached_run_program
 from repro.isa.assembler import Assembler
 from repro.multiscalar.config import MultiscalarConfig
 from repro.multiscalar.policies import make_policy
@@ -83,8 +83,8 @@ def _extra_traces(scale):
     tasks = {"tiny": 8, "test": 16, "full": 32}.get(scale, 16)
     legs = {}
     with PROFILER.scope("trace-gen"):
-        legs["table-walk"] = run_program(_table_walk(tasks))
-        legs["random-adv"] = run_program(
+        legs["table-walk"] = cached_run_program(_table_walk(tasks))
+        legs["random-adv"] = cached_run_program(
             generate_program(
                 RandomProgramConfig(
                     tasks=max(tasks, 12),

@@ -74,12 +74,11 @@ class TraceEntry:
 class Trace:
     """The committed dynamic instruction stream of one program run."""
 
-    __slots__ = ("program", "entries", "_load_producers", "_index")
+    __slots__ = ("program", "entries", "_index")
 
     def __init__(self, program, entries):
         self.program = program
         self.entries: List[TraceEntry] = entries
-        self._load_producers: Optional[Dict[int, Optional[int]]] = None
         self._index = None
 
     def __getstate__(self):
@@ -90,7 +89,6 @@ class Trace:
 
     def __setstate__(self, state):
         self.program, self.entries = state
-        self._load_producers = None
         self._index = None
 
     def __len__(self):
@@ -131,18 +129,10 @@ class Trace:
         The producing store of a load is the latest earlier store to the
         same address; loads whose value comes from initial memory map to
         None.  The result is the *true dependence oracle* used by the
-        PSYNC and WAIT policies and by prediction-accuracy accounting.
+        PSYNC and WAIT policies and by prediction-accuracy accounting;
+        it lives on the trace's shared index (``index().producers``).
         """
-        if self._load_producers is None:
-            producers: Dict[int, Optional[int]] = {}
-            last_store_to: Dict[int, int] = {}
-            for entry in self.entries:
-                if entry.is_store:
-                    last_store_to[entry.addr] = entry.seq
-                elif entry.is_load:
-                    producers[entry.seq] = last_store_to.get(entry.addr)
-            self._load_producers = producers
-        return self._load_producers
+        return self.index().producers
 
     def index(self):
         """The trace's shared static index (columns + derived maps).
@@ -185,11 +175,18 @@ class Trace:
         return tasks
 
     def summary(self):
-        """Return a dict of basic dynamic statistics."""
+        """Return a dict of basic dynamic statistics.
+
+        Loads and stores are counted in one pass over the entries' PCs
+        against per-PC flags, without building the index.
+        """
+        from repro.frontend.static_index import StaticDecode
+
+        loads, stores = StaticDecode(self).count_memory(self.entries)
         return {
             "name": self.name,
             "instructions": len(self.entries),
-            "loads": self.count_loads(),
-            "stores": self.count_stores(),
+            "loads": loads,
+            "stores": stores,
             "tasks": self.count_tasks(),
         }

@@ -316,5 +316,10 @@ def clear_memory_cache() -> None:
 
 def cached_run_program(program, max_instructions=5_000_000) -> Trace:
     """Drop-in for :func:`repro.frontend.run_program` through the
-    process-global :class:`TraceCache`."""
+    process-global :class:`TraceCache`.
+
+    The returned trace (and the index memoized on it) is shared by every
+    caller that interprets an equal program, so it must be treated as
+    immutable; a caller that mutates its trace calls ``run_program``.
+    """
     return global_trace_cache().get_or_run(program, max_instructions=max_instructions)

@@ -131,10 +131,7 @@ class MultiscalarSimulator:
         self.task_of = index.task_of
         self.index_in_task = index.index_in_task
         self.task_pcs = index.task_pcs
-        self.src_operands = index.src_operands
         self.src_producers = index.src_producers
-        self.reg_dependents = index.reg_dependents
-        self.task_writesets = index.task_writesets
         self.producers = index.producers
         self.dependents = index.dependents
         self.prior_task_stores = index.prior_task_stores
@@ -147,6 +144,21 @@ class MultiscalarSimulator:
         self._c_is_memory = index.is_memory
         self._c_fu = index.fu_code
         self._c_rd = index.rd
+
+    # the register maps only the per-cycle scan's non-oracle register
+    # models read: the index builds them on first access, so a batched
+    # run never pays for them
+    @property
+    def src_operands(self):
+        return self._index.src_operands
+
+    @property
+    def reg_dependents(self):
+        return self._index.reg_dependents
+
+    @property
+    def task_writesets(self):
+        return self._index.task_writesets
 
     # ------------------------------------------------------------------
     # helpers used by policies
@@ -292,6 +304,11 @@ class MultiscalarSimulator:
         rescanned every cycle it may issue."""
         self._begin_run()
         latencies = [self.config.fu_latencies[cls] for cls in FU_ORDER]
+        # the register maps only this scan reads, bound once per run
+        # (the index builds them on first access)
+        self._src_operands = self.src_operands
+        self._reg_dependents = self.reg_dependents
+        self._task_writesets = self.task_writesets
 
         now = 0
         idle_cycles = 0
@@ -402,7 +419,7 @@ class MultiscalarSimulator:
         if producer is not None:
             first = max(first, self.task_of[producer] + 1)
         for other in range(first, task_id):
-            if reg not in self.task_writesets.get(self.task_pcs[other], ()):
+            if reg not in self._task_writesets.get(self.task_pcs[other], ()):
                 continue
             last_seq = self.tasks[other][-1]
             done = self.done[last_seq]
@@ -413,7 +430,7 @@ class MultiscalarSimulator:
     def _source_ready_time(self, seq, task_id, now) -> int:
         ready = 0
         conservative = self._reg_spec_mode == "conservative"
-        for reg, producer, prev in self.src_operands[seq]:
+        for reg, producer, prev in self._src_operands[seq]:
             if conservative and self._maybe_writer_stall(reg, producer, task_id, now):
                 return -1
             if producer is None:
@@ -637,7 +654,7 @@ class MultiscalarSimulator:
         """Earliest consumer that issued before this producer's value
         could have reached it (it used a stale register value)."""
         producer_task = self.task_of[producer]
-        for consumer in self.reg_dependents.get(producer, ()):
+        for consumer in self._reg_dependents.get(producer, ()):
             consumer_task = self.task_of[consumer]
             if consumer_task <= producer_task:
                 continue

@@ -358,14 +358,14 @@ def check_program_leaks(
     The default ``always`` (blind speculation) policy maximizes the
     mis-speculation windows, making the dynamic oracle as adversarial
     as the simulator allows."""
-    from repro.frontend import run_program
+    from repro.frontend import cached_run_program
     from repro.multiscalar.config import MultiscalarConfig
     from repro.multiscalar.policies import make_policy
     from repro.multiscalar.processor import MultiscalarSimulator
 
     if analysis is None:
         analysis = analyze_spec_leaks(program, secret_ranges)
-    trace = run_program(program)
+    trace = cached_run_program(program)
     sanitizer = TaintSanitizer(trace, secret_ranges=analysis.secret_ranges)
     sim = MultiscalarSimulator(
         trace,

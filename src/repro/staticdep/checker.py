@@ -104,20 +104,20 @@ def cross_check(
 
 def cross_check_workload(name: str, scale: str = "test") -> CrossCheckResult:
     """Assemble, trace, analyze, and cross-check one named workload."""
-    from repro.frontend import run_program
+    from repro.frontend import cached_run_program
     from repro.workloads import get_workload
 
     program = get_workload(name).program(scale)
-    return cross_check(run_program(program), analyze_program(program))
+    return cross_check(cached_run_program(program), analyze_program(program))
 
 
 def check_suite(suite_name: str, scale: str = "test") -> List[CrossCheckResult]:
     """Cross-check every workload of a suite."""
-    from repro.frontend import run_program
+    from repro.frontend import cached_run_program
     from repro.workloads import suite
 
     results = []
     for workload in suite(suite_name):
         program = workload.program(scale)
-        results.append(cross_check(run_program(program), analyze_program(program)))
+        results.append(cross_check(cached_run_program(program), analyze_program(program)))
     return results

@@ -113,7 +113,12 @@ def generate_program(config: RandomProgramConfig) -> Program:
 
 
 def generate_trace(config: RandomProgramConfig):
-    """Generate and interpret a random program."""
+    """Generate and interpret a random program.
+
+    Interprets with the raw :func:`~repro.frontend.run_program`, not the
+    trace memo: memoized traces are shared and must stay immutable, and
+    callers of this helper (property tests) may mutate the trace they get.
+    """
     from repro.frontend import run_program
 
     limit = 64 * (config.tasks + 1) * (

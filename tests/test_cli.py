@@ -804,7 +804,7 @@ def test_metrics_export_bad_snapshot_exits_two(capsys, tmp_path, content):
 
 
 def _write_bench_data(tmp_path, warm=3.5, cold=3.5, adaptive=None, dedup=None,
-                      **kernel_legs):
+                      trace_dedup=None, **kernel_legs):
     history = tmp_path / "BENCH_history.jsonl"
     results = tmp_path / "BENCH_results.json"
     hotpath = {"warm_speedup": warm, "cold_speedup": cold}
@@ -826,6 +826,12 @@ def _write_bench_data(tmp_path, warm=3.5, cold=3.5, adaptive=None, dedup=None,
             "test": "benchmarks/test_cell_dedup.py::test_cell_dedup",
             "seconds": 11.0,
             "dedup": dedup,
+        })
+    if trace_dedup is not None:
+        records.append({
+            "test": "benchmarks/test_trace_dedup.py::test_trace_dedup",
+            "seconds": 10.0,
+            "trace_dedup": trace_dedup,
         })
     payload = {"scale": "test", "results": records}
     results.write_text(json.dumps(payload))
@@ -959,6 +965,57 @@ def test_bench_report_malformed_dedup_exits_two(capsys, tmp_path, dedup):
                  "--results", results]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed dedup record")
+
+
+TRACE_DEDUP = {"interpret_calls": 35, "distinct_programs": 35, "index_builds": 17,
+               "distinct_traces": 17, "index_build_s": 0.45, "reference_build_s": 1.4,
+               "tables_match": True}
+
+
+def test_bench_report_trace_dedup_clean(capsys, tmp_path):
+    history, results = _write_bench_data(tmp_path, trace_dedup=TRACE_DEDUP)
+    assert main(["bench-report", "--history", history,
+                 "--results", results]) == 0
+    out = capsys.readouterr().out
+    assert ("static experiments: 35 interpretations for 35 programs, "
+            "17 index builds for 17 traces, tables match the direct runners") in out
+    assert "index build: 0.450 s eager vs 1.400 s per-entry reference" in out
+
+
+@pytest.mark.parametrize("change, legs", [
+    ({"interpret_calls": 63}, ["trace-dedup-interpret"]),
+    ({"index_builds": 45}, ["trace-dedup-index"]),
+    ({"interpret_calls": 63, "index_builds": 45},
+     ["trace-dedup-interpret", "trace-dedup-index"]),
+    ({"tables_match": False}, ["trace-dedup-tables"]),
+])
+def test_bench_report_trace_dedup_gate(capsys, tmp_path, change, legs):
+    history, results = _write_bench_data(
+        tmp_path, trace_dedup=dict(TRACE_DEDUP, **change))
+    assert main(["bench-report", "--history", history,
+                 "--results", results, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["leg"] for r in payload["regressions"]] == legs
+
+
+@pytest.mark.parametrize("trace_dedup", [
+    "35/35",
+    {"interpret_calls": 35, "distinct_programs": 35, "index_builds": 17,
+     "tables_match": True},
+    dict(TRACE_DEDUP, distinct_programs=0, interpret_calls=0),
+    dict(TRACE_DEDUP, distinct_programs=36),
+    dict(TRACE_DEDUP, distinct_traces=18),
+    dict(TRACE_DEDUP, index_builds=17.0),
+    dict(TRACE_DEDUP, interpret_calls=True),
+    dict(TRACE_DEDUP, index_builds=-1),
+    dict(TRACE_DEDUP, tables_match="yes"),
+])
+def test_bench_report_malformed_trace_dedup_exits_two(capsys, tmp_path, trace_dedup):
+    history, results = _write_bench_data(tmp_path, trace_dedup=trace_dedup)
+    assert main(["bench-report", "--history", history,
+                 "--results", results]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed trace_dedup record")
 
 
 def test_bench_report_no_data_exits_two(capsys, tmp_path):
